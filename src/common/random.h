@@ -67,11 +67,6 @@ class Rng {
     return static_cast<double>(Next() >> 11) * 0x1.0p-53;
   }
 
-  /// Zipf-distributed rank in [0, n) with exponent `theta` (0 = uniform).
-  /// Used for skewed relationship fan-out, matching e-commerce data where a
-  /// few items dominate order lines.
-  uint64_t Zipf(uint64_t n, double theta);
-
   /// Pick a uniformly random element of a non-empty vector.
   template <typename T>
   const T& Pick(const std::vector<T>& v) {
@@ -94,6 +89,29 @@ class Rng {
   }
 
   uint64_t state_[4];
+};
+
+/// Zipf-distributed ranks in [0, n) with exponent `theta` (0 = uniform).
+/// Used for skewed relationship fan-out, matching e-commerce data where a
+/// few items dominate order lines. Rejection-free inverse-CDF approximation
+/// (Gray et al., "Quickly generating billion-record synthetic databases",
+/// SIGMOD '94): zeta(n), eta and alpha depend only on (n, theta), so they
+/// are computed once here and each draw costs one NextDouble and one pow.
+class ZipfSampler {
+ public:
+  /// n must be > 0.
+  ZipfSampler(uint64_t n, double theta);
+
+  /// One rank in [0, n). theta <= 0 or n == 1 draws Uniform(n).
+  uint64_t Sample(Rng* rng) const;
+
+ private:
+  uint64_t n_;
+  double theta_;
+  double zetan_ = 0.0;
+  double zeta2_ = 0.0;  // 1 + 0.5^theta: the rank-1 threshold
+  double alpha_ = 0.0;
+  double eta_ = 0.0;
 };
 
 }  // namespace mctdb

@@ -107,20 +107,24 @@ LogicalInstance GenerateInstance(const er::ErGraph& graph,
       return ep.totality == er::Totality::kTotal ||
              rng.NextDouble() < options.partial_participation;
     };
-    auto pick = [&](size_t n) {
-      return static_cast<uint32_t>(rng.Zipf(n, options.zipf_theta));
+    // Samplers are built once per relationship side: building one sums
+    // zeta(n), which is O(n).
+    auto pick = [&](const ZipfSampler& side) {
+      return static_cast<uint32_t>(side.Sample(&rng));
     };
 
     if (e0.participation == er::Participation::kMany &&
         e1.participation == er::Participation::kOne) {
       // one e0 : many e1 — one relationship instance per participating e1.
+      const ZipfSampler side0(n0, options.zipf_theta);
       for (uint32_t b = 0; b < n1; ++b) {
-        if (participates(e1)) pairs.push_back({pick(n0), b});
+        if (participates(e1)) pairs.push_back({pick(side0), b});
       }
     } else if (e1.participation == er::Participation::kMany &&
                e0.participation == er::Participation::kOne) {
+      const ZipfSampler side1(n1, options.zipf_theta);
       for (uint32_t a = 0; a < n0; ++a) {
-        if (participates(e0)) pairs.push_back({a, pick(n1)});
+        if (participates(e0)) pairs.push_back({a, pick(side1)});
       }
     } else if (e0.participation == er::Participation::kOne &&
                e1.participation == er::Participation::kOne) {
@@ -138,14 +142,16 @@ LogicalInstance GenerateInstance(const er::ErGraph& graph,
       size_t total = std::min(
           options.max_per_node,
           size_t(double(std::max(n0, n1)) * options.fanout));
+      const ZipfSampler side0(n0, options.zipf_theta);
+      const ZipfSampler side1(n1, options.zipf_theta);
       // Each endpoint instance participates at least once when total.
       for (uint32_t i = 0; i < total; ++i) {
         uint32_t a = e0.totality == er::Totality::kTotal && i < n0
                          ? i
-                         : pick(n0);
+                         : pick(side0);
         uint32_t b = e1.totality == er::Totality::kTotal && i < n1
                          ? i
-                         : pick(n1);
+                         : pick(side1);
         pairs.push_back({a, b});
       }
     }

@@ -1,12 +1,8 @@
 #include "instance/materialize.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/logging.h"
 
 namespace mctdb::instance {
@@ -22,18 +18,34 @@ class Materializer {
         graph_(schema.graph()),
         options_(options),
         builder_(&schema, options.store) {
+    const size_t num_nodes = schema.diagram().num_nodes();
     // Ref edges grouped by ER node so idref attributes are attached when
     // the relationship element is created.
+    refs_by_node_.resize(num_nodes);
     for (const mct::RefEdge& ref : schema.ref_edges()) {
       refs_by_node_[schema.occ(ref.from).er_node].push_back(&ref);
     }
+    // Dense per-instance state: (node, instance) and (occurrence,
+    // instance) pairs map to offsets into flat arrays.
+    node_base_.resize(num_nodes + 1, 0);
+    for (er::NodeId n = 0; n < num_nodes; ++n) {
+      node_base_[n + 1] = node_base_[n] + logical.count(n);
+    }
+    shared_elems_.assign(node_base_[num_nodes], storage::kInvalidElem);
+    color_stamp_.assign(node_base_[num_nodes], 0);
+    const auto& occs = schema.occurrences();
+    occ_base_.resize(occs.size() + 1, 0);
+    for (size_t o = 0; o < occs.size(); ++o) {
+      occ_base_[o + 1] = occ_base_[o] + logical.count(occs[o].er_node);
+    }
+    placed_at_.assign(occ_base_[occs.size()], 0);
   }
 
   std::unique_ptr<storage::MctStore> Run() {
     for (mct::ColorId c = 0; c < schema_.num_colors(); ++c) {
       builder_.BeginColor(c);
-      placed_in_color_.clear();
-      placed_at_.clear();
+      // Stamps from earlier colors no longer match: nothing to clear.
+      stamp_ = uint32_t{c} + 1;
       for (mct::OccId root : schema_.roots(c)) {
         er::NodeId node = schema_.occ(root).er_node;
         for (uint32_t inst = 0; inst < logical_.count(node); ++inst) {
@@ -59,7 +71,7 @@ class Materializer {
       for (const auto& [depth, occ_id] : clean) {
         er::NodeId node = schema_.occ(occ_id).er_node;
         for (uint32_t inst = 0; inst < logical_.count(node); ++inst) {
-          if (placed_at_.count(PlacementKey(occ_id, inst))) continue;
+          if (placed_at_[occ_base_[occ_id] + inst]) continue;
           Place(occ_id, inst);
         }
       }
@@ -69,25 +81,18 @@ class Materializer {
   }
 
  private:
-  using Key = uint64_t;  // (er_node, instance) packed
-  static Key MakeKey(er::NodeId node, uint32_t inst) {
-    return (uint64_t(node) << 32) | inst;
-  }
-
   storage::ElemId ObtainElement(er::NodeId node, uint32_t inst) {
-    Key key = MakeKey(node, inst);
-    auto shared = shared_elems_.find(key);
-    bool first_in_color = placed_in_color_.insert(key).second;
-    if (shared != shared_elems_.end() && first_in_color) {
-      return shared->second;  // the shared element's placement in this color
+    const size_t key = node_base_[node] + inst;
+    const bool first_in_color = color_stamp_[key] != stamp_;
+    color_stamp_[key] = stamp_;
+    storage::ElemId& shared = shared_elems_[key];
+    if (shared == storage::kInvalidElem) {
+      shared = NewElement(node, inst, /*is_copy=*/false);
+      return shared;
     }
-    if (shared == shared_elems_.end()) {
-      storage::ElemId elem = NewElement(node, inst, /*is_copy=*/false);
-      shared_elems_.emplace(key, elem);
-      return elem;
-    }
-    // Already placed in this color: a redundant copy with its own records.
-    return NewElement(node, inst, /*is_copy=*/true);
+    // The shared element's placement in this color, or, when it is already
+    // placed here, a redundant copy with its own records.
+    return first_in_color ? shared : NewElement(node, inst, /*is_copy=*/true);
   }
 
   storage::ElemId NewElement(er::NodeId node, uint32_t inst, bool is_copy) {
@@ -100,30 +105,22 @@ class Materializer {
                        logical_.AttrValue(node, inst, a),
                        /*with_content=*/!meta.attributes[a].is_key);
     }
-    auto refs = refs_by_node_.find(node);
-    if (refs != refs_by_node_.end()) {
-      for (const mct::RefEdge* ref : refs->second) {
-        // The relationship instance's endpoint on the referenced side.
-        const er::ErEdge& e = graph_.edge(ref->er_edge);
-        uint32_t target_inst =
-            logical_.EndpointOf(e.rel, e.endpoint_index, inst);
-        builder_.AddAttr(elem, ref->attr_name,
-                         logical_.KeyValue(ref->target, target_inst),
-                         /*with_content=*/false);
-      }
+    for (const mct::RefEdge* ref : refs_by_node_[node]) {
+      // The relationship instance's endpoint on the referenced side.
+      const er::ErEdge& e = graph_.edge(ref->er_edge);
+      uint32_t target_inst = logical_.EndpointOf(e.rel, e.endpoint_index, inst);
+      builder_.AddAttr(elem, ref->attr_name,
+                       logical_.KeyValue(ref->target, target_inst),
+                       /*with_content=*/false);
     }
     return elem;
-  }
-
-  static uint64_t PlacementKey(mct::OccId occ, uint32_t inst) {
-    return (uint64_t(occ) << 32) | inst;
   }
 
   void Place(mct::OccId occ_id, uint32_t inst) {
     if (++placements_ > options_.max_placements) {
       MCTDB_CHECK_MSG(false, "materialization placement cap exceeded");
     }
-    placed_at_.insert(PlacementKey(occ_id, inst));
+    placed_at_[occ_base_[occ_id] + inst] = 1;
     const mct::SchemaOcc& occ = schema_.occ(occ_id);
     storage::ElemId elem = ObtainElement(occ.er_node, inst);
     builder_.Enter(elem);
@@ -151,12 +148,20 @@ class Materializer {
   const MaterializeOptions& options_;
   storage::StoreBuilder builder_;
 
-  std::unordered_map<Key, storage::ElemId> shared_elems_;
-  std::unordered_set<Key> placed_in_color_;
-  /// (occurrence, instance) pairs placed in the current color.
-  std::unordered_set<uint64_t> placed_at_;
-  std::unordered_map<er::NodeId, std::vector<const mct::RefEdge*>>
-      refs_by_node_;
+  /// (node, instance) is at node_base_[node] + instance in the arrays below.
+  std::vector<size_t> node_base_;
+  /// The instance's shared element; kInvalidElem until first placed.
+  std::vector<storage::ElemId> shared_elems_;
+  /// stamp_ of the last color that placed the instance (0 = none yet).
+  std::vector<uint32_t> color_stamp_;
+  uint32_t stamp_ = 0;
+  /// (occurrence, instance) is at occ_base_[occ] + instance in placed_at_.
+  /// An occurrence belongs to one color, so a flag placed in one color
+  /// never needs clearing for the next.
+  std::vector<size_t> occ_base_;
+  std::vector<uint8_t> placed_at_;
+  /// ref_edges by the ER node whose elements carry the idref.
+  std::vector<std::vector<const mct::RefEdge*>> refs_by_node_;
   size_t placements_ = 0;
 };
 

@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -257,17 +259,22 @@ Status SaveStore(const MctStore& store, const std::string& path, bool sync) {
   w.U32(static_cast<uint32_t>(store.values_.size()));
   for (const std::string& s : store.values_) w.Str(s);
   w.EndSection();
-  // Labels and parents per color.
-  w.U32(static_cast<uint32_t>(store.labels_.size()));
-  for (size_t c = 0; c < store.labels_.size(); ++c) {
-    w.U32(static_cast<uint32_t>(store.labels_[c].size()));
-    for (const auto& [elem, label] : store.labels_[c]) {
-      w.Bytes(&label, sizeof(label));
+  // Labels and parents per color, in element order: the same records and
+  // counts as any other order, and the image bytes depend only on the
+  // store's contents.
+  w.U32(static_cast<uint32_t>(store.placements_.size()));
+  for (const ColorPlacements& placed : store.placements_) {
+    w.U32(static_cast<uint32_t>(placed.num_labels));
+    for (const ColorPlacements::Slot& slot : placed.slots) {
+      if (slot.label.elem != kInvalidElem) {
+        w.Bytes(&slot.label, sizeof(slot.label));
+      }
     }
-    w.U32(static_cast<uint32_t>(store.parents_[c].size()));
-    for (const auto& [elem, parent] : store.parents_[c]) {
+    w.U32(static_cast<uint32_t>(placed.num_parents));
+    for (ElemId elem = 0; elem < placed.slots.size(); ++elem) {
+      if (placed.slots[elem].parent == kInvalidElem) continue;
       w.U32(elem);
-      w.U32(parent);
+      w.U32(placed.slots[elem].parent);
     }
   }
   w.EndSection();
@@ -446,24 +453,28 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
   uint32_t num_colors = r.U32();
   if (!r.ok()) return lost("truncated colors");
   if (num_colors != schema.num_colors()) return bad("color count mismatch");
-  store->labels_.resize(num_colors);
-  store->parents_.resize(num_colors);
-  for (uint32_t c = 0; c < num_colors; ++c) {
+  store->placements_.resize(num_colors);
+  for (ColorPlacements& placed : store->placements_) {
     uint32_t n = r.U32();
     if (!r.ok() || n > num_elements) return lost("bad label count");
-    for (uint32_t i = 0; i < n; ++i) {
-      LabelEntry label;
-      r.Bytes(&label, sizeof(label));
-      if (!r.ok() || label.elem >= num_elements) return lost("bad label");
-      store->labels_[c][label.elem] = label;
+    std::vector<LabelEntry> labels(n);
+    r.Bytes(labels.data(), labels.size() * sizeof(LabelEntry));
+    if (!r.ok()) return lost("bad label");
+    ElemId max_elem = 0;
+    for (const LabelEntry& label : labels) {
+      if (label.elem >= num_elements) return lost("bad label");
+      max_elem = std::max(max_elem, label.elem);
     }
+    // Sized once, to the highest placed element.
+    if (n > 0) placed.slots.resize(size_t{max_elem} + 1);
+    for (const LabelEntry& label : labels) placed.SetLabel(label);
     uint32_t np = r.U32();
     if (!r.ok() || np > num_elements) return lost("bad parent count");
     for (uint32_t i = 0; i < np; ++i) {
       uint32_t elem = r.U32();
       uint32_t parent = r.U32();
       if (!r.ok() || elem >= num_elements) return lost("bad parent");
-      store->parents_[c][elem] = parent;
+      placed.SetParent(elem, parent);
     }
   }
   MCTDB_RETURN_IF_ERROR(check_section("labels"));

@@ -6,8 +6,10 @@
 //   elements: ElementMeta records
 //   attrs   : per-element AttrRecord lists
 //   dicts   : attribute-name and value dictionaries
-//   labels  : per color, (elem, LabelEntry) pairs
+//   labels  : per color, LabelEntry records (each names its elem)
 //   parents : per color, (elem, parent) pairs
+//             (both written in element order, so equal stores save to
+//             equal bytes; any order loads)
 //   postings: per (color, tag), page-id lists + counts
 //   postidx : versioned per-(color, tag) page summaries (first start, max
 //             end) — the persistent interval index behind index-assisted

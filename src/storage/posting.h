@@ -93,7 +93,10 @@ class PostingWriter {
  private:
   Pager* pager_;
   PostingMeta meta_;
-  char buffer_[kPageSize];
+  /// Zeroed once: a full page leaves kPageSize % sizeof(LabelEntry) tail
+  /// bytes unwritten, and they go into the page, its checksum and the
+  /// saved image.
+  char buffer_[kPageSize] = {};
   size_t in_buffer_ = 0;
   /// Summary of the page being buffered, flushed alongside it.
   PostingPageSummary page_summary_{};

@@ -79,15 +79,11 @@ const PostingMeta* MctStore::Posting(mct::ColorId color,
 
 bool MctStore::Label(mct::ColorId color, ElemId id, LabelEntry* out,
                      Lsn snapshot) const {
-  if (color >= labels_.size()) return false;
-  auto base = [&]() -> const LabelEntry* {
-    auto it = labels_[color].find(id);
-    return it == labels_[color].end() ? nullptr : &it->second;
-  };
+  if (color >= placements_.size()) return false;
+  const LabelEntry* base = placements_[color].FindLabel(id);
   if (!versioned()) {
-    const LabelEntry* e = base();
-    if (e == nullptr) return false;
-    *out = *e;
+    if (base == nullptr) return false;
+    *out = *base;
     return true;
   }
   std::shared_lock lk(deltas_->mu);
@@ -95,8 +91,8 @@ bool MctStore::Label(mct::ColorId color, ElemId id, LabelEntry* out,
   if (rm != deltas_->label_removed[color].end() && rm->second <= snapshot) {
     return false;
   }
-  if (const LabelEntry* e = base()) {
-    *out = *e;
+  if (base != nullptr) {
+    *out = *base;
     return true;
   }
   auto ad = deltas_->label_added[color].find(id);
@@ -109,10 +105,9 @@ bool MctStore::Label(mct::ColorId color, ElemId id, LabelEntry* out,
 }
 
 ElemId MctStore::Parent(mct::ColorId color, ElemId id, Lsn snapshot) const {
-  if (color >= parents_.size()) return kInvalidElem;
-  auto it = parents_[color].find(id);
-  if (it != parents_[color].end()) return it->second;
-  if (!versioned()) return kInvalidElem;
+  if (color >= placements_.size()) return kInvalidElem;
+  ElemId parent = placements_[color].FindParent(id);
+  if (parent != kInvalidElem || !versioned()) return parent;
   std::shared_lock lk(deltas_->mu);
   auto ad = deltas_->label_added[color].find(id);
   if (ad == deltas_->label_added[color].end() || ad->second.lsn > snapshot) {
@@ -125,10 +120,13 @@ ElemId MctStore::Parent(mct::ColorId color, ElemId id, Lsn snapshot) const {
 std::vector<LabelEntry> MctStore::ColorEntries(mct::ColorId color,
                                                Lsn snapshot) const {
   std::vector<LabelEntry> out;
-  if (color >= labels_.size()) return out;
-  out.reserve(labels_[color].size());
+  if (color >= placements_.size()) return out;
+  const ColorPlacements& placed = placements_[color];
+  out.reserve(placed.num_labels);
   if (!versioned()) {
-    for (const auto& [elem, label] : labels_[color]) out.push_back(label);
+    for (const ColorPlacements::Slot& slot : placed.slots) {
+      if (slot.label.elem != kInvalidElem) out.push_back(slot.label);
+    }
   } else {
     std::shared_lock lk(deltas_->mu);
     const auto& removed = deltas_->label_removed[color];
@@ -136,8 +134,10 @@ std::vector<LabelEntry> MctStore::ColorEntries(mct::ColorId color,
       auto it = removed.find(elem);
       return it != removed.end() && it->second <= snapshot;
     };
-    for (const auto& [elem, label] : labels_[color]) {
-      if (!is_removed(elem)) out.push_back(label);
+    for (const ColorPlacements::Slot& slot : placed.slots) {
+      if (slot.label.elem != kInvalidElem && !is_removed(slot.label.elem)) {
+        out.push_back(slot.label);
+      }
     }
     for (const auto& [elem, versioned_label] : deltas_->label_added[color]) {
       if (versioned_label.lsn <= snapshot && !is_removed(elem)) {
@@ -193,20 +193,24 @@ StoreStats MctStore::Stats() const {
     }
   }
   // Per-color parent pointers are part of the node record in a real
-  // layout; the label maps themselves are in-memory indexes over the
+  // layout; the label arrays themselves are in-memory indexes over the
   // posting pages already counted above.
-  for (const auto& m : parents_) bytes += m.size() * sizeof(ElemId);
+  for (const ColorPlacements& placed : placements_) {
+    bytes += placed.num_parents * sizeof(ElemId);
+  }
   st.data_mbytes = double(bytes) / (1024.0 * 1024.0);
   return st;
 }
 
 void MctStore::EnableVersioning() {
   if (versioned()) return;
-  deltas_ = std::make_unique<StoreDeltas>(labels_.size(), key_index_.size());
-  for (size_t c = 0; c < labels_.size(); ++c) {
+  deltas_ =
+      std::make_unique<StoreDeltas>(placements_.size(), key_index_.size());
+  for (size_t c = 0; c < placements_.size(); ++c) {
     uint32_t high = 0;
-    for (const auto& [elem, label] : labels_[c]) {
-      high = std::max(high, label.end);
+    for (const ColorPlacements::Slot& slot : placements_[c].slots) {
+      // Absent slots carry end 0, so they never raise the high water.
+      high = std::max(high, slot.label.end);
     }
     deltas_->label_high_water[c] = high;
   }
@@ -254,8 +258,7 @@ StoreBuilder::StoreBuilder(const mct::MctSchema* schema,
   for (auto& per_color : store_->postings_) {
     per_color.resize(schema->diagram().num_nodes());
   }
-  store_->labels_.resize(colors);
-  store_->parents_.resize(colors);
+  store_->placements_.resize(colors);
   store_->key_index_.resize(schema->diagram().num_nodes());
   per_tag_entries_.resize(schema->diagram().num_nodes());
 }
@@ -306,6 +309,7 @@ void StoreBuilder::BeginColor(mct::ColorId color) {
   open_stack_.clear();
   entries_.clear();
   entry_tag_.clear();
+  entry_parent_.clear();
   for (auto& v : per_tag_entries_) v.clear();
 }
 
@@ -324,13 +328,10 @@ void StoreBuilder::Enter(ElemId elem) {
   entry.level = static_cast<uint16_t>(open_stack_.size());
   entry.is_copy = meta.is_copy ? 1 : 0;
   entry.logical = meta.logical;
-  // Parent pointer.
-  ElemId parent = open_stack_.empty() ? kInvalidElem : open_stack_.back().elem;
-  if (parent != kInvalidElem) {
-    store_->parents_[color_][elem] = parent;
-  }
   entries_.push_back(entry);
   entry_tag_.push_back(meta.er_node);
+  entry_parent_.push_back(open_stack_.empty() ? kInvalidElem
+                                              : open_stack_.back().elem);
   open_stack_.push_back({elem, entries_.size() - 1});
 }
 
@@ -348,10 +349,14 @@ void StoreBuilder::Leave(ElemId elem) {
 void StoreBuilder::EndColor() {
   MCTDB_CHECK(in_color_ && open_stack_.empty());
   // Scatter entries to per-tag lists (Enter order == document order) and
-  // record labels.
+  // record labels and parents. Every element placed so far has an id below
+  // elements_.size(), so one resize fits the whole color.
+  ColorPlacements& placed = store_->placements_[color_];
+  placed.slots.resize(store_->elements_.size());
   for (size_t i = 0; i < entries_.size(); ++i) {
     per_tag_entries_[entry_tag_[i]].push_back(entries_[i]);
-    store_->labels_[color_][entries_[i].elem] = entries_[i];
+    placed.SetLabel(entries_[i]);
+    placed.SetParent(entries_[i].elem, entry_parent_[i]);
   }
   for (size_t tag = 0; tag < per_tag_entries_.size(); ++tag) {
     if (per_tag_entries_[tag].empty()) continue;

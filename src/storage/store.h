@@ -9,7 +9,8 @@
 //   * per (color, tag) posting lists of (start, end, level) interval labels
 //     in document order, paged through Pager/BufferPool — the input to
 //     structural joins;
-//   * per-color label and parent maps for color crossings and updates;
+//   * per-color label and parent arrays, indexed by element id, for color
+//     crossings and updates;
 //   * a value dictionary and a key index (logical id -> elements).
 //
 // Versioning (DESIGN.md §13): the containers above form the immutable BASE.
@@ -61,6 +62,50 @@ struct AttrRecord {
   /// attributes do not — this is what makes Table 1's attribute and
   /// content-node counts differ.
   bool has_content = false;
+};
+
+/// One color's base placements, indexed by element id. An element is absent
+/// from the color when its slot's label.elem is kInvalidElem, and so is
+/// every id past the end (elements created in a later color, or by updates,
+/// whose placements live in StoreDeltas). A root has a label but parent
+/// kInvalidElem.
+struct ColorPlacements {
+  struct Slot {
+    LabelEntry label;
+    ElemId parent = kInvalidElem;
+  };
+  std::vector<Slot> slots;
+  /// Present labels and parents: Stats() charges the parents, and the
+  /// image records both counts.
+  size_t num_labels = 0;
+  size_t num_parents = 0;
+
+  const LabelEntry* FindLabel(ElemId id) const {
+    return id < slots.size() && slots[id].label.elem != kInvalidElem
+               ? &slots[id].label
+               : nullptr;
+  }
+  ElemId FindParent(ElemId id) const {
+    return id < slots.size() ? slots[id].parent : kInvalidElem;
+  }
+  void SetLabel(const LabelEntry& label) {
+    Slot& slot = At(label.elem);
+    if (slot.label.elem == kInvalidElem) ++num_labels;
+    slot.label = label;
+  }
+  /// A kInvalidElem parent records nothing (roots have none).
+  void SetParent(ElemId id, ElemId parent) {
+    if (parent == kInvalidElem) return;
+    Slot& slot = At(id);
+    if (slot.parent == kInvalidElem) ++num_parents;
+    slot.parent = parent;
+  }
+
+ private:
+  Slot& At(ElemId id) {
+    if (id >= slots.size()) slots.resize(size_t{id} + 1);
+    return slots[id];
+  }
 };
 
 /// Load-time statistics in Table 1's vocabulary.
@@ -175,10 +220,8 @@ class MctStore {
 
   /// postings_[color][tag] (tag = ER node id); empty metas pruned to null.
   std::vector<std::vector<std::unique_ptr<PostingMeta>>> postings_;
-  /// labels_[color]: elem -> label.
-  std::vector<std::unordered_map<ElemId, LabelEntry>> labels_;
-  /// parents_[color]: elem -> parent elem.
-  std::vector<std::unordered_map<ElemId, ElemId>> parents_;
+  /// placements_[color]: elem -> label and parent in that color.
+  std::vector<ColorPlacements> placements_;
   /// key_index_[er_node]: logical -> elements (copies included).
   std::vector<std::unordered_map<uint32_t, std::vector<ElemId>>> key_index_;
 
@@ -236,6 +279,7 @@ class StoreBuilder {
   std::vector<std::vector<LabelEntry>> per_tag_entries_;
   std::vector<LabelEntry> entries_;  // all entries, Enter order
   std::vector<size_t> entry_tag_;    // parallel: tag of each entry
+  std::vector<ElemId> entry_parent_;  // parallel: parent of each entry
 };
 
 }  // namespace mctdb::storage

@@ -326,7 +326,7 @@ class UpdateApplier {
   }
 
  private:
-  size_t num_colors() const { return s_->labels_.size(); }
+  size_t num_colors() const { return s_->placements_.size(); }
 
   bool IsRemoved(mct::ColorId c, ElemId elem) const {
     return d_->label_removed[c].count(elem) != 0;
@@ -335,9 +335,8 @@ class UpdateApplier {
   /// Live label of `elem` in `c` at the latest applied state.
   bool LabelLocked(mct::ColorId c, ElemId elem, LabelEntry* out) const {
     if (IsRemoved(c, elem)) return false;
-    auto it = s_->labels_[c].find(elem);
-    if (it != s_->labels_[c].end()) {
-      *out = it->second;
+    if (const LabelEntry* base = s_->placements_[c].FindLabel(elem)) {
+      *out = *base;
       return true;
     }
     auto ad = d_->label_added[c].find(elem);
@@ -456,8 +455,12 @@ class UpdateApplier {
         return false;
       };
       std::vector<ElemId> doomed;
-      for (const auto& [elem, label] : s_->labels_[c]) {
-        if (!IsRemoved(c, elem) && contained(label)) doomed.push_back(elem);
+      for (const ColorPlacements::Slot& slot : s_->placements_[c].slots) {
+        const LabelEntry& label = slot.label;
+        if (label.elem != kInvalidElem && !IsRemoved(c, label.elem) &&
+            contained(label)) {
+          doomed.push_back(label.elem);
+        }
       }
       for (const auto& [elem, versioned_label] : d_->label_added[c]) {
         if (!IsRemoved(c, elem) && contained(versioned_label.entry)) {
@@ -520,7 +523,9 @@ class UpdateApplier {
       if (e.start > lo && e.start < hi) best = std::max(best, e.start);
       if (e.end > lo && e.end < hi) best = std::max(best, e.end);
     };
-    for (const auto& [elem, label] : s_->labels_[c]) consider(label);
+    for (const ColorPlacements::Slot& slot : s_->placements_[c].slots) {
+      if (slot.label.elem != kInvalidElem) consider(slot.label);
+    }
     for (const auto& [elem, versioned_label] : d_->label_added[c]) {
       consider(versioned_label.entry);
     }
@@ -546,7 +551,7 @@ class UpdateApplier {
   bool HasAnyLabel(mct::ColorId c, ElemId elem) const {
     // Tombstoned placements block relabeling too: label values must never
     // be reused within a color between checkpoints.
-    return s_->labels_[c].count(elem) != 0 ||
+    return s_->placements_[c].FindLabel(elem) != nullptr ||
            d_->label_added[c].count(elem) != 0;
   }
 

@@ -136,10 +136,12 @@ void MaintenanceManager::Loop() {
               std::chrono::duration<double>(options_.reprobe_seconds));
       if (now - last_reprobe >= reprobe_every) {
         last_reprobe = now;
-        reprobes_.fetch_add(1, std::memory_order_relaxed);
         Status probed = store_->TryExitReadOnly();
         std::lock_guard elk(mu_);
         last_error_ = probed.ok() ? std::string() : probed.message();
+        // Counted once its outcome is recorded: a caller that sees the
+        // count and then takes mu_ reads this probe's last_error().
+        reprobes_.fetch_add(1, std::memory_order_relaxed);
         if (urgent) {
           // A writer stalled against a read-only store: wake it either
           // way — retrying against a still-degraded store fails fast

@@ -156,7 +156,9 @@ TEST(MaterializeTest, SmallDiagramByHand) {
   GenOptions gen;
   gen.explicit_counts = {{"a", 2}, {"b", 4}};
   LogicalInstance logical = GenerateInstance(g, gen);
-  auto store = Materialize(logical, designer.Design(Strategy::kEn));
+  // The store keeps a pointer to its schema, so the schema must outlive it.
+  mct::MctSchema schema = designer.Design(Strategy::kEn);
+  auto store = Materialize(logical, schema);
   EXPECT_EQ(store->Stats().num_elements, 2u + 4u + 4u);
 }
 

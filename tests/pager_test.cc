@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <new>
 
 #include "common/failpoint.h"
 #include "storage/posting.h"
@@ -169,6 +170,34 @@ TEST(PostingTest, ReadAllMatchesCursor) {
   ASSERT_EQ(all.size(), 100u);
   EXPECT_EQ(all[42].elem, 42u);
   EXPECT_EQ(all[42].end, 958u);
+}
+
+TEST(PostingTest, FullPageTailIsZeroOverDirtyMemory) {
+  // A full page leaves kPageSize % sizeof(LabelEntry) bytes after its last
+  // entry. They reach the page checksum and saved images, so they must not
+  // depend on what the writer's memory held before: build the writer over
+  // poisoned bytes and check the tail comes out zero.
+  static_assert(kPageSize % sizeof(LabelEntry) != 0);
+  Pager pager;
+  alignas(PostingWriter) unsigned char raw[sizeof(PostingWriter)];
+  std::memset(raw, 0xA5, sizeof(raw));
+  auto* writer = new (raw) PostingWriter(&pager);
+  // One entry past a full page, so the first page is flushed full.
+  for (uint32_t i = 0; i <= kEntriesPerPage; ++i) {
+    LabelEntry e;
+    e.elem = i;
+    e.start = 2 * i + 1;
+    e.end = 2 * i + 2;
+    writer->Append(e);
+  }
+  PostingMeta meta = writer->Finish();
+  writer->~PostingWriter();
+  ASSERT_EQ(meta.num_pages(), 2u);
+  char page[kPageSize];
+  ASSERT_TRUE(pager.Read(meta.pages[0], page).ok());
+  for (size_t i = kEntriesPerPage * sizeof(LabelEntry); i < kPageSize; ++i) {
+    ASSERT_EQ(page[i], 0) << "tail byte " << i;
+  }
 }
 
 TEST(PostingTest, EmptyList) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "design/designer.h"
 #include "instance/materialize.h"
@@ -48,6 +53,103 @@ TEST(PersistTest, SaveLoadRoundTripPreservesEverything) {
   // The loaded store passes full validation (including ICICs).
   analysis::DiagnosticReport report = ValidateStore(store);
   EXPECT_TRUE(report.empty()) << report.ToText();
+}
+
+bool SameLabel(const LabelEntry& a, const LabelEntry& b) {
+  return a.elem == b.elem && a.start == b.start && a.end == b.end &&
+         a.level == b.level && a.is_copy == b.is_copy &&
+         a.logical == b.logical;
+}
+
+TEST(PersistTest, SaveLoadRoundTripMatchesElementByElement) {
+  Fixture f;
+  // DR has five colors; UNDR adds redundant copies of shared elements.
+  for (Strategy strategy : {Strategy::kDr, Strategy::kUndr}) {
+    mct::MctSchema schema = f.designer.Design(strategy);
+    SCOPED_TRACE(schema.name());
+    auto built = instance::Materialize(f.logical, schema);
+    std::string path = TempPath("roundtrip.mctdb");
+    ASSERT_TRUE(SaveStore(*built, path).ok());
+    auto loaded_or = LoadStore(schema, path);
+    ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+    const MctStore& loaded = **loaded_or;
+
+    EXPECT_EQ(built->Stats().data_mbytes, loaded.Stats().data_mbytes);
+    const ElemId n = static_cast<ElemId>(built->num_elements());
+    ASSERT_EQ(loaded.num_elements(), n);
+    size_t copies = 0, absent = 0, past_last = 0;
+    for (mct::ColorId c = 0; c < schema.num_colors(); ++c) {
+      std::vector<LabelEntry> a = built->ColorEntries(c);
+      std::vector<LabelEntry> b = loaded.ColorEntries(c);
+      ASSERT_EQ(a.size(), b.size()) << "color " << c;
+      ElemId last = 0;
+      for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_TRUE(SameLabel(a[i], b[i])) << "color " << c << " entry " << i;
+        if (a[i].is_copy) ++copies;
+        last = std::max(last, a[i].elem);
+      }
+      // Ids past the last element probe beyond every color's array.
+      for (ElemId e = 0; e < n + 8; ++e) {
+        LabelEntry la, lb;
+        const bool in_a = built->Label(c, e, &la);
+        ASSERT_EQ(in_a, loaded.Label(c, e, &lb))
+            << "color " << c << " elem " << e;
+        if (in_a) {
+          ASSERT_TRUE(SameLabel(la, lb)) << "color " << c << " elem " << e;
+        } else if (e < n) {
+          ++absent;
+          if (e > last) ++past_last;
+        }
+        ASSERT_EQ(built->Parent(c, e), loaded.Parent(c, e))
+            << "color " << c << " elem " << e;
+      }
+      LabelEntry unused;
+      EXPECT_FALSE(loaded.Label(c, kInvalidElem, &unused));
+      EXPECT_EQ(loaded.Parent(c, kInvalidElem), kInvalidElem);
+    }
+    // The fixture reaches every case: elements missing from a color, and
+    // elements created in a later color than the one probed.
+    EXPECT_GT(absent, 0u);
+    EXPECT_GT(past_last, 0u);
+    if (strategy == Strategy::kUndr) {
+      EXPECT_GT(copies, 0u);
+    }
+  }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(PersistTest, EqualStoresSaveToEqualBytes) {
+  // Two independent builds of one multi-color store whose posting lists
+  // fill pages: no byte of the image may depend on memory contents or
+  // hash-table order.
+  std::string images[2];
+  for (int run = 0; run < 2; ++run) {
+    workload::Workload w = workload::TpcwWorkload(0.2);
+    er::ErGraph graph(w.diagram);
+    design::Designer designer(graph);
+    mct::MctSchema schema = designer.Design(Strategy::kDr);
+    instance::LogicalInstance logical = instance::GenerateInstance(graph, w.gen);
+    auto store = instance::Materialize(logical, schema);
+    size_t max_pages = 0;
+    for (mct::ColorId c = 0; c < schema.num_colors(); ++c) {
+      for (er::NodeId tag = 0; tag < w.diagram.num_nodes(); ++tag) {
+        if (const PostingMeta* p = store->Posting(c, tag)) {
+          max_pages = std::max(max_pages, p->num_pages());
+        }
+      }
+    }
+    ASSERT_GE(max_pages, 2u) << "some posting list must fill a page";
+    ASSERT_GT(schema.num_colors(), 1u);
+    std::string path = TempPath(run == 0 ? "bytes_a.mctdb" : "bytes_b.mctdb");
+    ASSERT_TRUE(SaveStore(*store, path).ok());
+    images[run] = ReadFile(path);
+  }
+  ASSERT_FALSE(images[0].empty());
+  EXPECT_TRUE(images[0] == images[1]) << "images differ";
 }
 
 TEST(PersistTest, LoadedStoreAnswersQueriesIdentically) {

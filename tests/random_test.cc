@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <numeric>
 
@@ -74,8 +75,9 @@ TEST(RngTest, OneInRoughFrequency) {
 
 TEST(RngTest, ZipfSkewsTowardLowRanks) {
   Rng rng(17);
+  const ZipfSampler zipf(100, 0.8);
   std::map<uint64_t, int> counts;
-  for (int i = 0; i < 20000; ++i) ++counts[rng.Zipf(100, 0.8)];
+  for (int i = 0; i < 20000; ++i) ++counts[zipf.Sample(&rng)];
   // Rank 0 must dominate the tail decisively under theta=0.8.
   EXPECT_GT(counts[0], counts[50] * 3);
   for (const auto& [v, c] : counts) EXPECT_LT(v, 100u);
@@ -83,11 +85,52 @@ TEST(RngTest, ZipfSkewsTowardLowRanks) {
 
 TEST(RngTest, ZipfThetaZeroIsUniform) {
   Rng rng(19);
+  const ZipfSampler zipf(10, 0.0);
   std::map<uint64_t, int> counts;
-  for (int i = 0; i < 20000; ++i) ++counts[rng.Zipf(10, 0.0)];
+  for (int i = 0; i < 20000; ++i) ++counts[zipf.Sample(&rng)];
   for (const auto& [v, c] : counts) {
     EXPECT_GT(c, 1000) << "value " << v;
     EXPECT_LT(c, 3200) << "value " << v;
+  }
+}
+
+/// The per-draw formula the sampler replaced: it re-sums zeta(n) on every
+/// call. Kept as the reference the precomputed sampler must match draw for
+/// draw, so generated instances stay bit-identical.
+uint64_t ReferenceZipf(Rng* rng, uint64_t n, double theta) {
+  if (theta <= 0.0 || n == 1) return rng->Uniform(n);
+  double zetan = 0.0;
+  for (uint64_t i = 1; i <= n; ++i) zetan += 1.0 / std::pow(double(i), theta);
+  const double alpha = 1.0 / (1.0 - theta);
+  double zeta2 = 1.0 + std::pow(0.5, theta);
+  const double eta =
+      (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) / (1.0 - zeta2 / zetan);
+  const double u = rng->NextDouble();
+  const double uz = u * zetan;
+  if (uz < 1.0) return 0;
+  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
+  uint64_t rank = static_cast<uint64_t>(
+      double(n) * std::pow(eta * u - eta + 1.0, alpha));
+  if (rank >= n) rank = n - 1;
+  return rank;
+}
+
+TEST(RngTest, ZipfSamplerMatchesPerDrawReference) {
+  for (double theta : {0.0, 0.3, 0.4, 0.8}) {
+    for (uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{100},
+                       uint64_t{10007}}) {
+      Rng a(31), b(31);
+      const ZipfSampler zipf(n, theta);
+      // The reference costs O(n) per draw; fewer draws at large n keep the
+      // test fast while still crossing all three return paths.
+      const int draws = n > 1000 ? 300 : 3000;
+      for (int i = 0; i < draws; ++i) {
+        ASSERT_EQ(zipf.Sample(&a), ReferenceZipf(&b, n, theta))
+            << "theta " << theta << " n " << n << " draw " << i;
+      }
+      // Both consumed the same stream.
+      EXPECT_EQ(a.Next(), b.Next());
+    }
   }
 }
 
