@@ -8,6 +8,7 @@
 #include "query/structural_join.h"
 #include "storage/pager.h"
 #include "storage/posting.h"
+#include "storage/sharded_pool.h"
 
 namespace {
 
@@ -34,7 +35,8 @@ struct PostingFixture {
 void BM_PostingScan(benchmark::State& state) {
   static PostingFixture* fixture = new PostingFixture(500000);
   // Pool size in pages: small pools force re-faulting on every pass.
-  BufferPool pool(&fixture->pager, size_t(state.range(0)));
+  ShardedBufferPool pool(&fixture->pager, size_t(state.range(0)),
+                         /*num_shards=*/1);
   uint64_t sum = 0;
   for (auto _ : state) {
     PostingCursor cursor(&pool, &fixture->meta);

@@ -3,7 +3,7 @@
 // Each registered benchmark produces one BenchReport at a chosen scale.
 // The measurement core (MeasureTpcwGrid) is the SAME code bench_table1
 // runs, so `mctc bench --json` and the standalone binary cannot drift:
-// plan with query::PlanQuery, execute on the store-owned serial pool
+// plan with query::PlanQuery, execute on the store-owned one-shard pool
 // with query::Executor, report the median of `repetitions` runs and the
 // exact per-query I/O of the last repetition.
 #pragma once

@@ -71,12 +71,12 @@ enum class ExecMode { kBatched, kTuple };
 
 class Executor {
  public:
-  /// Runs against the store's own (single-threaded) buffer pool by
-  /// default. A service session passes its own thread-safe pool handle so
-  /// many executors can read one store concurrently; page hit/miss deltas
-  /// in ExecResult are taken from whichever pool the executor uses.
+  /// Runs against the store's own one-shard pool by default; many
+  /// executors may share it across threads. The service passes the
+  /// store's N-shard pool instead. Either way the page hits and misses in
+  /// ExecResult are this query's own, charged at each fetch.
   explicit Executor(storage::MctStore* store,
-                    storage::PageCache* pool = nullptr)
+                    storage::ShardedBufferPool* pool = nullptr)
       : store_(store), pool_(pool != nullptr ? pool : store->buffer_pool()) {}
 
   /// Pins every read of this executor to the given snapshot LSN. On a
@@ -125,7 +125,7 @@ class Executor {
                    bool reduce_parent, mct::ColorId* out_color);
 
   storage::MctStore* store_;
-  storage::PageCache* pool_;
+  storage::ShardedBufferPool* pool_;
   Lsn snapshot_ = kMaxLsn;
   ExecMode mode_ = ExecMode::kBatched;
   /// The running query's attribution context; set for the duration of

@@ -13,10 +13,10 @@
 //     worker pool. Read-only queries may run from any number of sessions
 //     of the same store concurrently; update plans are only legal through
 //     a session, relying on "one session per store" for exclusivity;
-//   * one thread-safe ShardedBufferPool per registered store, shared by
-//     all of that store's sessions; each request gets its own Executor
-//     over that pool handle, so the single-threaded store-owned
-//     BufferPool is bypassed entirely on the service path;
+//   * one N-shard ShardedBufferPool per registered store (sized by
+//     ServiceOptions::pool_pages/pool_shards), shared by all of that
+//     store's sessions; each request gets its own Executor over that pool
+//     handle instead of the store's own one-shard pool;
 //   * a ServiceMetrics registry (latency histogram, queue depth, admission
 //     rejections, per-shard pool hit/miss) exportable as JSON;
 //   * graceful degradation: a load-shedding admission controller (past

@@ -6,7 +6,7 @@
 
 namespace mctdb::storage {
 
-MergedPostingCursor::MergedPostingCursor(PageCache* pool,
+MergedPostingCursor::MergedPostingCursor(ShardedBufferPool* pool,
                                          const MctStore& store,
                                          mct::ColorId color, er::NodeId tag,
                                          Lsn snapshot, obs::ExecStats* stats) {

@@ -101,7 +101,7 @@ class StoreDeltas {
 /// with one extra branch per Next.
 class MergedPostingCursor {
  public:
-  MergedPostingCursor(PageCache* pool, const MctStore& store,
+  MergedPostingCursor(ShardedBufferPool* pool, const MctStore& store,
                       mct::ColorId color, er::NodeId tag, Lsn snapshot,
                       obs::ExecStats* stats = nullptr);
 

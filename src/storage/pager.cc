@@ -102,33 +102,4 @@ Status Pager::Read(PageId id, char* out) const {
   return s;
 }
 
-Status BufferPool::Fetch(PageId id, const char** out_frame, bool* out_miss) {
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    ++hits_;
-    *out_miss = false;
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(id);
-    it->second.lru_pos = lru_.begin();
-    *out_frame = it->second.data.get();
-    return Status::OK();
-  }
-  ++misses_;
-  *out_miss = true;
-  if (frames_.size() >= capacity_) {
-    PageId victim = lru_.back();
-    lru_.pop_back();
-    frames_.erase(victim);
-  }
-  Frame frame;
-  frame.data = std::make_unique<char[]>(kPageSize);
-  MCTDB_RETURN_IF_ERROR(pager_->Read(id, frame.data.get()));
-  lru_.push_front(id);
-  frame.lru_pos = lru_.begin();
-  auto [pos, inserted] = frames_.emplace(id, std::move(frame));
-  MCTDB_CHECK(inserted);
-  *out_frame = pos->second.data.get();
-  return Status::OK();
-}
-
 }  // namespace mctdb::storage

@@ -1,19 +1,17 @@
-// Page-level storage: a pager (the "disk") and an LRU buffer pool, modeled
-// on the TIMBER setup the paper measured on (8 KB data pages, bounded
-// buffer pool). Queries read posting pages strictly through the buffer
-// pool, so page-miss counts and cache behavior are real, not simulated.
+// Page-level storage: the pager (the "disk"), modeled on the TIMBER setup
+// the paper measured on (8 KB data pages behind one bounded buffer pool,
+// see sharded_pool.h). Queries read posting pages strictly through the
+// buffer pool, so page-miss counts and cache behavior are real, not
+// simulated.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/retry.h"
 #include "common/status.h"
 
@@ -101,88 +99,6 @@ class Pager {
   mutable std::atomic<uint64_t> checksum_failures_{0};
   mutable std::atomic<uint64_t> retries_{0};
   mutable std::atomic<int> reads_in_flight_{0};
-};
-
-/// Page-cache interface shared by the single-threaded BufferPool and the
-/// concurrent ShardedBufferPool. Fetch pins the frame; pinning caches keep
-/// it valid until the matching Unpin, single-threaded caches may no-op
-/// Unpin and only guarantee validity until the next Fetch. Every cache
-/// maintains hits() + misses() == total fetches.
-///
-/// Attribution contract: every Fetch reports whether it missed via
-/// `out_miss`, so the *fetching* caller can charge the I/O to itself (see
-/// obs::ExecStats). The pool-global hits()/misses() counters aggregate
-/// all callers and must never be diffed to derive a single query's cost —
-/// on a shared pool, concurrent queries would bill each other.
-class PageCache {
- public:
-  virtual ~PageCache() = default;
-  /// Points `*out_frame` at the cached frame for `id`, faulting it in if
-  /// needed, and sets `*out_miss` to whether this fetch went to the pager.
-  /// On a non-OK Status (DataLoss after the pool's quarantine re-read
-  /// failed too) no pin is taken and *out_frame is unchanged.
-  /// [[nodiscard]] on success semantics: Fetch takes a pin; dropping the
-  /// frame pointer leaks the pin (the frame is never unpinnable again by
-  /// this caller).
-  [[nodiscard]] virtual Status Fetch(PageId id, const char** out_frame,
-                                     bool* out_miss) = 0;
-  /// Convenience overloads for callers on storage they trust to be
-  /// healthy (loaders, benches, single-threaded tools): abort on a fetch
-  /// error rather than plumbing Status. Query-path callers use the
-  /// Status-returning form so corruption degrades to a failed query, not
-  /// a crashed process.
-  [[nodiscard]] const char* Fetch(PageId id, bool* out_miss) {
-    const char* frame = nullptr;
-    Status s = Fetch(id, &frame, out_miss);
-    MCTDB_CHECK_MSG(s.ok(), s.ToString().c_str());
-    return frame;
-  }
-  [[nodiscard]] const char* Fetch(PageId id) {
-    bool miss = false;
-    return Fetch(id, &miss);
-  }
-  /// Releases one pin taken by Fetch for `id`.
-  virtual void Unpin(PageId id) = 0;
-  virtual uint64_t hits() const = 0;
-  virtual uint64_t misses() const = 0;
-};
-
-/// Fixed-capacity LRU page cache over a Pager. Single-threaded: the query
-/// path of one session must not share it with another thread (the
-/// concurrent path uses ShardedBufferPool, see sharded_pool.h).
-class BufferPool : public PageCache {
- public:
-  BufferPool(const Pager* pager, size_t capacity_pages)
-      : pager_(pager), capacity_(capacity_pages == 0 ? 1 : capacity_pages) {}
-
-  using PageCache::Fetch;
-  /// Points *out_frame at the cached frame for `id`, faulting it in (and
-  /// evicting the least recently used frame) if needed. The pointer is
-  /// valid until the next Fetch. A read failure leaves the pool without a
-  /// frame for `id` (nothing to quarantine) and returns the pager's
-  /// Status.
-  [[nodiscard]] Status Fetch(PageId id, const char** out_frame,
-                             bool* out_miss) override;
-  void Unpin(PageId) override {}
-
-  uint64_t hits() const override { return hits_; }
-  uint64_t misses() const override { return misses_; }
-  size_t resident() const { return frames_.size(); }
-  size_t capacity() const { return capacity_; }
-  void ResetStats() { hits_ = misses_ = 0; }
-
- private:
-  struct Frame {
-    std::unique_ptr<char[]> data;
-    std::list<PageId>::iterator lru_pos;
-  };
-
-  const Pager* pager_;
-  size_t capacity_;
-  std::unordered_map<PageId, Frame> frames_;
-  std::list<PageId> lru_;  // front = most recent
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace mctdb::storage

@@ -533,8 +533,8 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
   MCTDB_RETURN_IF_ERROR(check_section("counters"));
   std::fclose(f);
 
-  store->pool_ = std::make_unique<BufferPool>(&store->pager_,
-                                              options.buffer_pool_pages);
+  store->pool_ = std::make_unique<ShardedBufferPool>(
+      &store->pager_, options.buffer_pool_pages, /*num_shards=*/1);
   return store;
 }
 

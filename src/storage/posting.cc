@@ -128,7 +128,8 @@ void PostingCursor::Release() {
   }
 }
 
-std::vector<LabelEntry> ReadAll(PageCache* pool, const PostingMeta& meta,
+std::vector<LabelEntry> ReadAll(ShardedBufferPool* pool,
+                                const PostingMeta& meta,
                                 obs::ExecStats* stats, Status* out_status) {
   std::vector<LabelEntry> out;
   out.reserve(meta.count);

@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "obs/exec_stats.h"
 #include "storage/pager.h"
+#include "storage/sharded_pool.h"
 
 namespace mctdb::storage {
 
@@ -102,10 +103,10 @@ class PostingWriter {
   PostingPageSummary page_summary_{};
 };
 
-/// Sequential scan of a posting list through a page cache (every page
+/// Sequential scan of a posting list through the buffer pool (every page
 /// touch is a pool fetch, so misses show up in the stats). Holds at most
-/// one page pinned at a time; the destructor releases the last pin, so a
-/// cursor works unchanged over the concurrent ShardedBufferPool.
+/// one page pinned at a time and releases it before fetching the next;
+/// the destructor releases the last pin.
 ///
 /// When `stats` is given, every page fetch (and its hit/miss outcome) is
 /// charged to it — this is how a query's I/O is attributed to exactly
@@ -118,7 +119,7 @@ class PostingWriter {
 /// propagate it so storage corruption degrades to a failed query.
 class PostingCursor {
  public:
-  PostingCursor(PageCache* pool, const PostingMeta* meta,
+  PostingCursor(ShardedBufferPool* pool, const PostingMeta* meta,
                 obs::ExecStats* stats = nullptr)
       : pool_(pool), meta_(meta), stats_(stats) {}
   ~PostingCursor() { Release(); }
@@ -182,7 +183,7 @@ class PostingCursor {
   /// the early-stop bound proves the rest of the list non-qualifying.
   bool SkipRuledOutPages();
 
-  PageCache* pool_;
+  ShardedBufferPool* pool_;
   const PostingMeta* meta_;
   obs::ExecStats* stats_ = nullptr;
   size_t index_ = 0;
@@ -238,7 +239,8 @@ struct LabelBlock {
 /// `out_status` (the returned vector holds the entries read so far); when
 /// `out_status` is null a failure aborts, matching the convenience Fetch
 /// contract for callers on storage they trust.
-std::vector<LabelEntry> ReadAll(PageCache* pool, const PostingMeta& meta,
+std::vector<LabelEntry> ReadAll(ShardedBufferPool* pool,
+                                const PostingMeta& meta,
                                 obs::ExecStats* stats = nullptr,
                                 Status* out_status = nullptr);
 

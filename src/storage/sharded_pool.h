@@ -1,14 +1,18 @@
-// ShardedBufferPool: the thread-safe page cache behind the mctsvc query
-// service. The total page budget is split across N independently locked
-// LRU shards; a page's shard is fixed by hashing its PageId, so threads
-// touching disjoint pages rarely contend on the same mutex.
+// ShardedBufferPool: the one page cache. Every store owns a one-shard pool
+// (StoreBuilder::Finish / LoadStore), and the mctsvc query service creates
+// an N-shard pool per registered store. The total page budget is split
+// across N independently locked LRU shards; a page's shard is fixed by
+// hashing its PageId, so threads touching disjoint pages rarely contend on
+// the same mutex.
 //
-// Unlike the single-threaded BufferPool, Fetch pins the frame: a pinned
-// frame is never evicted (and never moves), so the returned pointer stays
-// valid across other threads' fetches until the matching Unpin. If every
-// frame of a shard is pinned, the shard temporarily grows past its budget
-// rather than failing — correctness over a strict page budget — and trims
-// back as pins are released.
+// Fetch pins the frame: a pinned frame is never evicted (and never moves),
+// so the returned pointer stays valid across other threads' fetches until
+// the matching Unpin. If every frame of a shard is pinned, the shard
+// temporarily grows past its budget rather than failing — correctness over
+// a strict page budget — and trims back as pins are released. A reader
+// that releases its page before fetching the next one (every posting
+// cursor does) sees plain LRU: on one shard, the victim is the least
+// recently released page.
 #pragma once
 
 #include <atomic>
@@ -19,12 +23,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/ordered_mutex.h"
 #include "storage/pager.h"
 
 namespace mctdb::storage {
 
-class ShardedBufferPool : public PageCache {
+class ShardedBufferPool {
  public:
   /// `num_shards` == 0 picks a heuristic: the smallest power of two >= 2x
   /// the hardware thread count, clamped to [1, 64] and to the capacity so
@@ -33,7 +38,18 @@ class ShardedBufferPool : public PageCache {
   ShardedBufferPool(const Pager* pager, size_t capacity_pages,
                     size_t num_shards = 0);
 
-  using PageCache::Fetch;
+  /// Points `*out_frame` at the pinned frame for `id` and sets `*out_miss`
+  /// to whether this fetch went to the pager. On a non-OK Status (DataLoss
+  /// after the quarantine re-read failed too) no pin is taken and
+  /// *out_frame is unchanged. Every successful Fetch must be paired with
+  /// one Unpin.
+  ///
+  /// Attribution contract: `out_miss` lets the *fetching* caller charge
+  /// the I/O to itself (see obs::ExecStats). The pool-global hits()/
+  /// misses() counters aggregate all callers and must never be diffed to
+  /// derive a single query's cost — concurrent queries would bill each
+  /// other.
+  ///
   /// Thread-safe fetch. A miss reserves and pins the frame under the
   /// shard lock, then reads from the pager with the lock RELEASED (an
   /// in-flight `loading` flag makes concurrent fetchers of the same page
@@ -49,11 +65,25 @@ class ShardedBufferPool : public PageCache {
   /// fetchers arriving later wait for the erasure and then fault the page
   /// in fresh — so one bad read never wedges a PageId permanently.
   [[nodiscard]] Status Fetch(PageId id, const char** out_frame,
-                             bool* out_miss) override;
-  void Unpin(PageId id) override;
+                             bool* out_miss);
+  /// Test conveniences on storage known to be healthy: abort on a fetch
+  /// error rather than return Status. They take a pin like the form above.
+  [[nodiscard]] const char* Fetch(PageId id, bool* out_miss) {
+    const char* frame = nullptr;
+    Status s = Fetch(id, &frame, out_miss);
+    MCTDB_CHECK_MSG(s.ok(), s.ToString().c_str());
+    return frame;
+  }
+  [[nodiscard]] const char* Fetch(PageId id) {
+    bool miss = false;
+    return Fetch(id, &miss);
+  }
+  /// Releases one pin taken by Fetch for `id`.
+  void Unpin(PageId id);
 
-  uint64_t hits() const override;
-  uint64_t misses() const override;
+  /// hits() + misses() == total fetches.
+  uint64_t hits() const;
+  uint64_t misses() const;
   size_t resident() const;
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }

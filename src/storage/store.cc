@@ -370,8 +370,8 @@ void StoreBuilder::EndColor() {
 
 std::unique_ptr<MctStore> StoreBuilder::Finish() {
   MCTDB_CHECK(!in_color_);
-  store_->pool_ =
-      std::make_unique<BufferPool>(&store_->pager_, options_.buffer_pool_pages);
+  store_->pool_ = std::make_unique<ShardedBufferPool>(
+      &store_->pager_, options_.buffer_pool_pages, /*num_shards=*/1);
   return std::move(store_);
 }
 

@@ -7,8 +7,8 @@
 //     placements of non-NN schemas are separate "copy" elements);
 //   * attribute and content-node records hanging off elements;
 //   * per (color, tag) posting lists of (start, end, level) interval labels
-//     in document order, paged through Pager/BufferPool — the input to
-//     structural joins;
+//     in document order, paged through the Pager and read through the
+//     store's one-shard ShardedBufferPool — the input to structural joins;
 //   * per-color label and parent arrays, indexed by element id, for color
 //     crossings and updates;
 //   * a value dictionary and a key index (logical id -> elements).
@@ -35,6 +35,7 @@
 #include "storage/delta.h"
 #include "storage/pager.h"
 #include "storage/posting.h"
+#include "storage/sharded_pool.h"
 
 namespace mctdb::storage {
 
@@ -170,7 +171,9 @@ class MctStore {
   std::vector<ElemId> ElementsFor(er::NodeId er_node, uint32_t logical,
                                   Lsn snapshot = kMaxLsn) const;
 
-  BufferPool* buffer_pool() const { return pool_.get(); }
+  /// The store's own page cache: one shard holding
+  /// StoreOptions::buffer_pool_pages pages, safe to share across threads.
+  ShardedBufferPool* buffer_pool() const { return pool_.get(); }
   Pager* pager() { return &pager_; }
   const Pager* pager() const { return &pager_; }
 
@@ -208,7 +211,7 @@ class MctStore {
 
   const mct::MctSchema* schema_ = nullptr;
   Pager pager_;
-  std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<ShardedBufferPool> pool_;
 
   StableVector<ElementMeta> elements_;
   StableVector<std::vector<AttrRecord>> attrs_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "design/designer.h"
 #include "instance/materialize.h"
 #include "query/planner.h"
@@ -197,6 +201,83 @@ TEST_F(ExecutorTest, PerQueryCountsMatchPoolDeltasWhenSerial) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->page_hits, pool->hits() - hits0);
   EXPECT_EQ(result->page_misses, pool->misses() - misses0);
+}
+
+TEST_F(ExecutorTest, TwoThreadsShareTheDefaultPool) {
+  // Executor(store) from two threads at once, through each store's own
+  // one-shard pool and no service. An 8-page pool makes the threads evict
+  // each other's pages. Every answer must equal the serial run's, and the
+  // per-query page counts must add up to the pools' totals.
+  instance::MaterializeOptions options;
+  options.store.buffer_pool_pages = 8;
+  std::vector<std::unique_ptr<storage::MctStore>> stores;
+  std::vector<QueryPlan> plans;
+  std::vector<storage::MctStore*> plan_stores;
+  for (const mct::MctSchema& schema : *schemas_) {
+    stores.push_back(instance::Materialize(*logical_, schema, options));
+    for (const AssociationQuery& q : w_->queries) {
+      if (q.is_update()) continue;
+      auto plan = PlanQuery(q, schema);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      plans.push_back(*plan);
+      plan_stores.push_back(stores.back().get());
+    }
+  }
+  constexpr int kRounds = 3;
+  auto run_grid = [&](std::vector<ExecResult>* out, Status* status) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (size_t i = 0; i < plans.size(); ++i) {
+        Executor exec(plan_stores[i]);
+        auto r = exec.Execute(plans[i]);
+        if (!r.ok()) {
+          *status = r.status();
+          return;
+        }
+        out->push_back(std::move(*r));
+      }
+    }
+  };
+  auto pool_fetches = [&stores] {
+    uint64_t n = 0;
+    for (const auto& s : stores) {
+      n += s->buffer_pool()->hits() + s->buffer_pool()->misses();
+    }
+    return n;
+  };
+
+  std::vector<ExecResult> serial;
+  Status serial_status;
+  run_grid(&serial, &serial_status);
+  ASSERT_TRUE(serial_status.ok()) << serial_status.ToString();
+
+  uint64_t before = pool_fetches();
+  std::vector<ExecResult> got[2];
+  Status status[2];
+  std::thread first(run_grid, &got[0], &status[0]);
+  std::thread second(run_grid, &got[1], &status[1]);
+  first.join();
+  second.join();
+
+  uint64_t charged = 0;
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_TRUE(status[t].ok()) << status[t].ToString();
+    ASSERT_EQ(got[t].size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "thread " << t << ", cell " << i);
+      const ExecResult& r = got[t][i];
+      const ExecResult& want = serial[i];
+      EXPECT_EQ(r.logicals, want.logicals);
+      EXPECT_EQ(r.raw_count, want.raw_count);
+      EXPECT_EQ(r.unique_count, want.unique_count);
+      EXPECT_EQ(r.groups, want.groups);
+      EXPECT_EQ(r.join_pairs, want.join_pairs);
+      EXPECT_EQ(r.page_hits + r.page_misses, want.page_hits + want.page_misses)
+          << "a query fetches the same pages whoever else runs";
+      charged += r.page_hits + r.page_misses;
+    }
+  }
+  EXPECT_EQ(charged, pool_fetches() - before)
+      << "every pool fetch is charged to exactly one query";
 }
 
 TEST_F(ExecutorTest, TraceSpansCoverTheQuery) {

@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "storage/posting.h"
+#include "storage/sharded_pool.h"
 
 namespace mctdb::storage {
 namespace {
@@ -47,82 +48,6 @@ TEST(PagerTest, CountsDiskIo) {
   EXPECT_EQ(pager.disk_reads(), r0 + 2);
 }
 
-TEST(BufferPoolTest, HitAfterMiss) {
-  Pager pager;
-  PageId p = pager.Allocate();
-  BufferPool pool(&pager, 4);
-  (void)pool.Fetch(p);  // warm the cache; frame not needed
-  EXPECT_EQ(pool.misses(), 1u);
-  (void)pool.Fetch(p);  // warm the cache; frame not needed
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pager.disk_reads(), 1u) << "second fetch served from cache";
-}
-
-TEST(BufferPoolTest, LruEviction) {
-  Pager pager;
-  std::vector<PageId> pages;
-  for (int i = 0; i < 4; ++i) pages.push_back(pager.Allocate());
-  BufferPool pool(&pager, 2);
-  (void)pool.Fetch(pages[0]);  // warm the cache; frame not needed
-  (void)pool.Fetch(pages[1]);  // warm the cache; frame not needed
-  (void)pool.Fetch(pages[0]);  // 0 is now most recent
-  (void)pool.Fetch(pages[2]);  // evicts 1
-  EXPECT_EQ(pool.resident(), 2u);
-  pool.ResetStats();
-  (void)pool.Fetch(pages[0]);  // warm the cache; frame not needed
-  EXPECT_EQ(pool.hits(), 1u) << "0 must have survived";
-  (void)pool.Fetch(pages[1]);  // warm the cache; frame not needed
-  EXPECT_EQ(pool.misses(), 1u) << "1 must have been evicted";
-}
-
-TEST(BufferPoolTest, CapacityOneThrashesDeterministically) {
-  // Eviction boundary: with one frame, alternating between two pages
-  // misses every time, and the accounting invariant still holds.
-  Pager pager;
-  PageId a = pager.Allocate(), b = pager.Allocate();
-  BufferPool pool(&pager, 1);
-  for (int i = 0; i < 4; ++i) {
-    (void)pool.Fetch(a);  // warm the cache; frame not needed
-    (void)pool.Fetch(b);  // warm the cache; frame not needed
-  }
-  EXPECT_EQ(pool.misses(), 8u);
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.resident(), 1u);
-  EXPECT_EQ(pool.hits() + pool.misses(), 8u) << "every fetch accounted";
-}
-
-TEST(BufferPoolTest, CapacityEqualsWorkingSetMissesOnlyOnce) {
-  // The other boundary: capacity == working set means the warmup pass is
-  // the only disk traffic; steady state is all hits.
-  Pager pager;
-  std::vector<PageId> pages;
-  for (int i = 0; i < 8; ++i) pages.push_back(pager.Allocate());
-  BufferPool pool(&pager, 8);
-  for (PageId p : pages) (void)pool.Fetch(p);
-  EXPECT_EQ(pool.misses(), 8u);
-  uint64_t reads = pager.disk_reads();
-  for (int round = 0; round < 3; ++round) {
-    for (PageId p : pages) (void)pool.Fetch(p);
-  }
-  EXPECT_EQ(pool.hits(), 3u * 8u);
-  EXPECT_EQ(pool.misses(), 8u);
-  EXPECT_EQ(pager.disk_reads(), reads) << "no re-eviction at capacity";
-}
-
-TEST(BufferPoolTest, PageContentCorrectAcrossEviction) {
-  Pager pager;
-  PageId a = pager.Allocate(), b = pager.Allocate();
-  char buf[kPageSize];
-  std::memset(buf, 1, kPageSize);
-  pager.Write(a, buf);
-  std::memset(buf, 2, kPageSize);
-  pager.Write(b, buf);
-  BufferPool pool(&pager, 1);
-  EXPECT_EQ(pool.Fetch(a)[0], 1);
-  EXPECT_EQ(pool.Fetch(b)[0], 2);
-  EXPECT_EQ(pool.Fetch(a)[0], 1);
-}
-
 TEST(PostingTest, WriteAndScan) {
   Pager pager;
   PostingWriter writer(&pager);
@@ -140,7 +65,7 @@ TEST(PostingTest, WriteAndScan) {
   EXPECT_EQ(meta.count, n);
   EXPECT_EQ(meta.num_pages(), 4u);
 
-  BufferPool pool(&pager, 2);
+  ShardedBufferPool pool(&pager, 2, 1);
   PostingCursor cursor(&pool, &meta);
   LabelEntry e;
   uint32_t i = 0;
@@ -165,7 +90,7 @@ TEST(PostingTest, ReadAllMatchesCursor) {
     writer.Append(e);
   }
   PostingMeta meta = writer.Finish();
-  BufferPool pool(&pager, 8);
+  ShardedBufferPool pool(&pager, 8, 1);
   auto all = ReadAll(&pool, meta);
   ASSERT_EQ(all.size(), 100u);
   EXPECT_EQ(all[42].elem, 42u);
@@ -205,7 +130,7 @@ TEST(PostingTest, EmptyList) {
   PostingWriter writer(&pager);
   PostingMeta meta = writer.Finish();
   EXPECT_EQ(meta.count, 0u);
-  BufferPool pool(&pager, 2);
+  ShardedBufferPool pool(&pager, 2, 1);
   PostingCursor cursor(&pool, &meta);
   LabelEntry e;
   EXPECT_FALSE(cursor.Next(&e));
@@ -298,26 +223,6 @@ TEST(PagerFailpointTest, RetryRecoversFromFlakyReads) {
       << "disk_reads counts calls, not attempts";
 }
 
-TEST(BufferPoolTest, ReadFailureLeavesNoFrame) {
-  Pager pager;
-  pager.SetRetryPolicy(RetryPolicy::None());
-  PageId p = pager.Allocate();
-  pager.CorruptForTest(p, 7);
-  BufferPool pool(&pager, 4);
-  const char* frame = nullptr;
-  bool miss = false;
-  Status s = pool.Fetch(p, &frame, &miss);
-  ASSERT_TRUE(s.IsDataLoss()) << s.ToString();
-  EXPECT_EQ(frame, nullptr);
-  EXPECT_EQ(pool.resident(), 0u) << "no frame cached for a failed read";
-  // Repair, refetch: the pool recovers without a restart.
-  pager.RepairForTest(p);
-  s = pool.Fetch(p, &frame, &miss);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_NE(frame, nullptr);
-  EXPECT_TRUE(miss);
-}
-
 TEST(PostingTest, CursorLatchesFetchFailure) {
   Pager pager;
   pager.SetRetryPolicy(RetryPolicy::None());
@@ -333,7 +238,7 @@ TEST(PostingTest, CursorLatchesFetchFailure) {
   ASSERT_EQ(meta.num_pages(), 2u);
   pager.CorruptForTest(meta.pages[1], 99);
 
-  BufferPool pool(&pager, 4);
+  ShardedBufferPool pool(&pager, 4, 1);
   PostingCursor cursor(&pool, &meta);
   LabelEntry e;
   uint32_t seen = 0;

@@ -10,6 +10,7 @@
 
 #include "obs/exec_stats.h"
 #include "storage/pager.h"
+#include "storage/sharded_pool.h"
 
 namespace mctdb::storage {
 namespace {
@@ -45,7 +46,7 @@ TEST(PostingBlockTest, NextSpanYieldsTheExactNextSequence) {
   // 2.5 pages: a full page, a full page, a partial tail.
   std::vector<LabelEntry> entries = Siblings(kEntriesPerPage * 2 + 200);
   PostingMeta meta = Build(&pager, entries);
-  BufferPool pool(&pager, 8);
+  ShardedBufferPool pool(&pager, 8, 1);
 
   std::vector<LabelEntry> via_next;
   {
@@ -102,7 +103,7 @@ TEST(PostingBlockTest, BoundsSkipPagesWithoutFetchingThem) {
 
   // Baseline: an unbounded scan fetches every page.
   {
-    BufferPool pool(&pager, 8);
+    ShardedBufferPool pool(&pager, 8, 1);
     obs::ExecStats stats("full");
     PostingCursor cursor(&pool, &meta, &stats);
     const LabelEntry* data = nullptr;
@@ -120,7 +121,7 @@ TEST(PostingBlockTest, BoundsSkipPagesWithoutFetchingThem) {
   ScanBounds bounds;
   bounds.start_gt = entries[kEntriesPerPage * 3 + 10].start;
   {
-    BufferPool pool(&pager, 8);
+    ShardedBufferPool pool(&pager, 8, 1);
     obs::ExecStats stats("bounded");
     PostingCursor cursor(&pool, &meta, &stats);
     cursor.ApplyBounds(bounds);
@@ -145,7 +146,7 @@ TEST(PostingBlockTest, BoundsSkipPagesWithoutFetchingThem) {
 
   // An early-stop bound anchored in the first page: the tail never loads.
   {
-    BufferPool pool(&pager, 8);
+    ShardedBufferPool pool(&pager, 8, 1);
     obs::ExecStats stats("early");
     PostingCursor cursor(&pool, &meta, &stats);
     ScanBounds early;
@@ -167,7 +168,7 @@ TEST(PostingBlockTest, MetaWithoutSummariesDegradesToSequentialScan) {
   meta.summaries.clear();  // hand-built metas may lack the index
   ASSERT_FALSE(meta.has_index());
 
-  BufferPool pool(&pager, 8);
+  ShardedBufferPool pool(&pager, 8, 1);
   obs::ExecStats stats("degraded");
   PostingCursor cursor(&pool, &meta, &stats);
   ScanBounds bounds;
@@ -189,7 +190,7 @@ TEST(PostingBlockTest, ReadAllMaterializesWithOneExactReservation) {
   Pager pager;
   std::vector<LabelEntry> entries = Siblings(kEntriesPerPage * 3 + 7);
   PostingMeta meta = Build(&pager, entries);
-  BufferPool pool(&pager, 8);
+  ShardedBufferPool pool(&pager, 8, 1);
 
   std::vector<LabelEntry> all = ReadAll(&pool, meta);
   ASSERT_EQ(all.size(), meta.count);

@@ -38,12 +38,54 @@ TEST(ShardedPoolTest, HitAfterMissAndContent) {
   const char* again = pool.Fetch(ids[2]);
   EXPECT_EQ(again[0], 2);
   EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pager.disk_reads(), 1u) << "second fetch served from cache";
   pool.Unpin(ids[2]);
+}
+
+TEST(ShardedPoolTest, LruEviction) {
+  // The exact victim on one shard: a store's own pool is one shard, and
+  // the serial per-query page counters depend on which page it evicts.
+  Pager pager;
+  std::vector<PageId> ids = FillPager(&pager, 4);
+  ShardedBufferPool pool(&pager, 2, 1);
+  auto touch = [&pool](PageId id) {
+    (void)pool.Fetch(id);  // warm the cache; frame not needed
+    pool.Unpin(id);
+  };
+  touch(ids[0]);
+  touch(ids[1]);
+  touch(ids[0]);  // 0 is now most recent
+  touch(ids[2]);  // evicts 1
+  EXPECT_EQ(pool.resident(), 2u);
+  pool.ResetStats();
+  touch(ids[0]);
+  EXPECT_EQ(pool.hits(), 1u) << "0 must have survived";
+  touch(ids[1]);
+  EXPECT_EQ(pool.misses(), 1u) << "1 must have been evicted";
+}
+
+TEST(ShardedPoolTest, CapacityOneThrashesDeterministically) {
+  // Eviction boundary: with one frame, alternating between two pages
+  // misses every time, and the accounting invariant still holds.
+  Pager pager;
+  std::vector<PageId> ids = FillPager(&pager, 2);
+  ShardedBufferPool pool(&pager, 1, 1);
+  for (int i = 0; i < 4; ++i) {
+    for (PageId id : ids) {
+      (void)pool.Fetch(id);  // warm the cache; frame not needed
+      pool.Unpin(id);
+    }
+  }
+  EXPECT_EQ(pool.misses(), 8u);
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.resident(), 1u);
+  EXPECT_EQ(pool.hits() + pool.misses(), 8u) << "every fetch accounted";
 }
 
 TEST(ShardedPoolTest, CapacityOnePoolStillServesEveryPage) {
   // The eviction boundary: a 1-page budget forces an eviction on every
-  // distinct fetch, and the single shard must keep serving correct bytes.
+  // distinct fetch (so the pool thrashes deterministically and never
+  // hits), and the single shard must keep serving correct bytes.
   Pager pager;
   std::vector<PageId> ids = FillPager(&pager, 8);
   ShardedBufferPool pool(&pager, 1);
@@ -56,7 +98,8 @@ TEST(ShardedPoolTest, CapacityOnePoolStillServesEveryPage) {
       EXPECT_LE(pool.resident(), 1u);
     }
   }
-  EXPECT_EQ(pool.hits() + pool.misses(), 3u * 8u);
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.misses(), 3u * 8u) << "every fetch accounted";
 }
 
 TEST(ShardedPoolTest, CapacityEqualsWorkingSetNeverReEvicts) {
@@ -334,6 +377,7 @@ TEST(ShardedPoolQuarantineTest, FailedLoadReturnsDataLossAndQuarantines) {
   ASSERT_TRUE(s.IsDataLoss()) << s.ToString();
   EXPECT_EQ(frame, nullptr);
   EXPECT_GE(pool.quarantined(), 1u);
+  EXPECT_EQ(pool.resident(), 0u) << "no frame cached for a failed read";
   // The quarantined frame was evicted — nothing stale is resident, and
   // healthy pages keep serving.
   const char* ok_frame = pool.Fetch(ids[0]);
@@ -351,11 +395,13 @@ TEST(ShardedPoolQuarantineTest, RepairThenRefetchRecovers) {
   const char* frame = nullptr;
   bool miss = false;
   ASSERT_TRUE(pool.Fetch(ids[0], &frame, &miss).IsDataLoss());
+  EXPECT_EQ(pool.resident(), 0u);
   pager.RepairForTest(ids[0]);
   // No pool restart needed: the failed frame was erased, so the next
   // fetch re-reads the (now healthy) page.
   Status s = pool.Fetch(ids[0], &frame, &miss);
   ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(miss);
   EXPECT_EQ(frame[0], 0);
   pool.Unpin(ids[0]);
 }

@@ -55,7 +55,7 @@ struct Fixture {
 
   std::vector<uint32_t> Run(storage::MctStore* store,
                             const query::AssociationQuery& q, Lsn snapshot,
-                            storage::PageCache* pool = nullptr) {
+                            storage::ShardedBufferPool* pool = nullptr) {
     auto plan = query::PlanQuery(q, schema);
     EXPECT_TRUE(plan.ok());
     query::Executor exec(store, pool);
@@ -110,9 +110,8 @@ TEST(SnapshotIsolationTest, ConcurrentReadersMatchSerialPreUpdateRun) {
   Lsn s0 = durable->snapshot();
   const std::vector<uint32_t> serial = f.Run(durable->store(), *q, s0);
 
-  // Concurrent readers share one store through the thread-safe pool, the
-  // same arrangement the service uses (the store's own BufferPool is
-  // single-threaded by contract).
+  // Concurrent readers share one store through a separate multi-shard
+  // pool, the same arrangement the service uses.
   storage::ShardedBufferPool pool(durable->store()->pager(), 256);
 
   std::atomic<bool> writer_done{false};

@@ -70,14 +70,17 @@
 // bad syntax) — so scripts can tell "the input is bad" from "the lint
 // found problems".
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 
 #include "analysis/plan_verify.h"
 #include "analysis/query_analyze.h"
@@ -153,6 +156,25 @@ int Usage() {
       "                      DataLoss/Unavailable escalation, and on the\n"
       "                      crash-injection exits of `mctc update`\n");
   return 1;
+}
+
+/// Strictly parses a numeric flag value: all of `text` must be a number in
+/// [lo, hi], so "12x", "-1" for a count, overflow and NaN are rejected. A
+/// bad value prints `error: bad <flag> '<text>'`; the caller exits 1.
+template <typename T>
+[[nodiscard]] bool ParseFlag(
+    const char* flag, const char* text, T* out,
+    std::type_identity_t<T> lo = std::numeric_limits<T>::lowest(),
+    std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "error: bad %s '%s'\n", flag, text);
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 Result<std::string> ReadFile(const char* path) {
@@ -257,7 +279,7 @@ int CmdPaths(int argc, char** argv) {
   size_t max_shown = 50;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--max") && i + 1 < argc) {
-      max_shown = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--max", argv[++i], &max_shown)) return 1;
     } else if (path == nullptr) {
       path = argv[i];
     }
@@ -336,20 +358,22 @@ int CmdWorkload(int argc, char** argv) {
   double update_fraction = 0.0;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--threads", argv[++i], &threads, 1)) return 1;
     } else if (!std::strcmp(argv[i], "--base") && i + 1 < argc) {
-      base_count = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--base", argv[++i], &base_count)) return 1;
     } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
-      reps = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--reps", argv[++i], &reps, 1)) return 1;
     } else if (!std::strcmp(argv[i], "--stages")) {
       stages = true;
     } else if (!std::strcmp(argv[i], "--update-fraction") && i + 1 < argc) {
-      update_fraction = std::strtod(argv[++i], nullptr);
+      if (!ParseFlag("--update-fraction", argv[++i], &update_fraction, 0.0)) {
+        return 1;
+      }
     } else if (path == nullptr) {
       path = argv[i];
     }
   }
-  if (path == nullptr || threads == 0 || reps == 0) return Usage();
+  if (path == nullptr) return Usage();
   auto diagram = LoadEr(path);
   if (!diagram.ok()) {
     std::fprintf(stderr, "error: %s\n", diagram.status().ToString().c_str());
@@ -431,11 +455,11 @@ int CmdTrace(int argc, char** argv) {
       updates = true;
     } else if (!std::strcmp(argv[i], "--id") && i + 1 < argc) {
       has_id = true;
-      trace_filter = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlag("--id", argv[++i], &trace_filter)) return 1;
     } else if (!std::strcmp(argv[i], "--blackbox") && i + 1 < argc) {
       blackbox_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--base") && i + 1 < argc) {
-      base_count = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--base", argv[++i], &base_count)) return 1;
     } else if (path == nullptr) {
       path = argv[i];
     }
@@ -661,7 +685,7 @@ int CmdBlackbox(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--json")) {
       json = true;
     } else if (!std::strcmp(argv[i], "--id") && i + 1 < argc) {
-      trace_filter = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlag("--id", argv[++i], &trace_filter)) return 1;
     } else if (path == nullptr) {
       path = argv[i];
     }
@@ -851,13 +875,7 @@ int CmdBench(int argc, char** argv) {
         return 1;
       }
     } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0 || n > 1000) {
-        std::fprintf(stderr, "error: bad --reps '%s'\n", argv[i]);
-        return 1;
-      }
-      reps = n;
+      if (!ParseFlag("--reps", argv[++i], &reps, 1, 1000)) return 1;
     } else if (!std::strcmp(argv[i], "--bench") && i + 1 < argc) {
       only = argv[++i];
     } else if (!std::strcmp(argv[i], "--json")) {
@@ -869,21 +887,15 @@ int CmdBench(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--strict")) {
       check_options.strict_new_records = true;
     } else if (!std::strcmp(argv[i], "--tolerance") && i + 1 < argc) {
-      char* end = nullptr;
-      double t = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || !(t >= 0.0)) {
-        std::fprintf(stderr, "error: bad --tolerance '%s'\n", argv[i]);
+      if (!ParseFlag("--tolerance", argv[++i], &check_options.tolerance,
+                     0.0)) {
         return 1;
       }
-      check_options.tolerance = t;
     } else if (!std::strcmp(argv[i], "--min-abs") && i + 1 < argc) {
-      char* end = nullptr;
-      double t = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || !(t >= 0.0)) {
-        std::fprintf(stderr, "error: bad --min-abs '%s'\n", argv[i]);
+      if (!ParseFlag("--min-abs", argv[++i], &check_options.min_abs_seconds,
+                     0.0)) {
         return 1;
       }
-      check_options.min_abs_seconds = t;
     } else if (!std::strcmp(argv[i], "--baselines") && i + 1 < argc) {
       baselines_dir = argv[++i];
     } else {
@@ -989,38 +1001,26 @@ int CmdServe(int argc, char** argv) {
   uint32_t label_stride = 0;  // 0 = store default
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-      char* end = nullptr;
-      long p = std::strtol(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || p < 0 || p > 65535) {
-        std::fprintf(stderr, "error: bad --port '%s'\n", argv[i]);
-        return 1;
-      }
-      port = static_cast<int>(p);
+      if (!ParseFlag("--port", argv[++i], &port, 0, 65535)) return 1;
     } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--threads", argv[++i], &threads, 1)) return 1;
     } else if (!std::strcmp(argv[i], "--base") && i + 1 < argc) {
-      base_count = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--base", argv[++i], &base_count)) return 1;
     } else if (!std::strcmp(argv[i], "--passes") && i + 1 < argc) {
-      passes = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--passes", argv[++i], &passes, 1)) return 1;
     } else if (!std::strcmp(argv[i], "--linger") && i + 1 < argc) {
-      char* end = nullptr;
-      linger_seconds = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || linger_seconds < 0) {
-        std::fprintf(stderr, "error: bad --linger '%s'\n", argv[i]);
-        return 1;
-      }
+      if (!ParseFlag("--linger", argv[++i], &linger_seconds, 0.0)) return 1;
     } else if (!std::strcmp(argv[i], "--updates")) {
       updates = true;
     } else if (!std::strcmp(argv[i], "--update-ops") && i + 1 < argc) {
-      update_ops = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--update-ops", argv[++i], &update_ops)) return 1;
     } else if (!std::strcmp(argv[i], "--label-stride") && i + 1 < argc) {
-      label_stride =
-          static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!ParseFlag("--label-stride", argv[++i], &label_stride)) return 1;
     } else if (path == nullptr) {
       path = argv[i];
     }
   }
-  if (path == nullptr || threads == 0 || passes == 0) return Usage();
+  if (path == nullptr) return Usage();
   // /flightz is a live recorder snapshot, so serve always records;
   // --flight-dump additionally arms the crash/escalation dump triggers.
   obs::flight::Enable();
@@ -1336,13 +1336,13 @@ int CmdUpdate(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "-s") && i + 1 < argc) {
       strategy_name = argv[++i];
     } else if (!std::strcmp(argv[i], "--base") && i + 1 < argc) {
-      base_count = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--base", argv[++i], &base_count)) return 1;
     } else if (!std::strcmp(argv[i], "--ops") && i + 1 < argc) {
-      num_ops = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--ops", argv[++i], &num_ops)) return 1;
     } else if (!std::strcmp(argv[i], "--take") && i + 1 < argc) {
-      take = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--take", argv[++i], &take)) return 1;
     } else if (!std::strcmp(argv[i], "--crash-after") && i + 1 < argc) {
-      crash_after = std::strtol(argv[++i], nullptr, 10);
+      if (!ParseFlag("--crash-after", argv[++i], &crash_after, 0)) return 1;
     } else if (!std::strcmp(argv[i], "--checkpoint")) {
       do_checkpoint = true;
     } else if (!std::strcmp(argv[i], "--trace")) {
@@ -1465,7 +1465,7 @@ int CmdRecover(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "-s") && i + 1 < argc) {
       strategy_name = argv[++i];
     } else if (!std::strcmp(argv[i], "--base") && i + 1 < argc) {
-      base_count = std::strtoul(argv[++i], nullptr, 10);
+      if (!ParseFlag("--base", argv[++i], &base_count)) return 1;
     } else if (!std::strcmp(argv[i], "--json")) {
       json = true;
     } else if (path == nullptr) {
