@@ -19,23 +19,36 @@ constexpr const char* kVocab[] = {
     "Canada", "Kenya",  "Norway",  "Chile",  "Egypt",  "Korea",
     "Spain",  "Italy",  "Poland",  "Peru",   "Ghana",  "Laos",
 };
-constexpr size_t kVocabSize = sizeof(kVocab) / sizeof(kVocab[0]);
+static_assert(sizeof(kVocab) / sizeof(kVocab[0]) ==
+              LogicalInstance::kVocabWords);
 
 }  // namespace
 
-std::string LogicalInstance::KeyValue(er::NodeId node, uint32_t inst) const {
-  return diagram_->node(node).name + "_" + std::to_string(inst);
+LogicalInstance::ValueRef LogicalInstance::AttrValueRef(
+    er::NodeId node, uint32_t inst, size_t attr_index) const {
+  const er::Attribute& attr = diagram_->node(node).attributes[attr_index];
+  if (attr.is_key) return KeyValueRef(node, inst);
+  uint64_t h = HashCombine(attr_seeds_[node][attr_index],
+                           HashCombine(node, inst));
+  if (attr.type == er::AttrType::kInt) {
+    return {ValueRef::Kind::kInt, er::kInvalidNode,
+            static_cast<uint32_t>(h % kIntValues)};
+  }
+  return {ValueRef::Kind::kWord, er::kInvalidNode,
+          static_cast<uint32_t>(h % kVocabWords)};
 }
 
-std::string LogicalInstance::AttrValue(er::NodeId node, uint32_t inst,
-                                       size_t attr_index) const {
-  const er::Attribute& attr = diagram_->node(node).attributes[attr_index];
-  if (attr.is_key) return KeyValue(node, inst);
-  uint64_t h = HashCombine(Hash64(attr.name), HashCombine(node, inst));
-  if (attr.type == er::AttrType::kInt) {
-    return std::to_string(h % 1000);
+std::string LogicalInstance::Render(const ValueRef& value) const {
+  switch (value.kind) {
+    case ValueRef::Kind::kKey:
+      return diagram_->node(value.node).name + "_" +
+             std::to_string(value.index);
+    case ValueRef::Kind::kInt:
+      return std::to_string(value.index);
+    case ValueRef::Kind::kWord:
+      break;
   }
-  return kVocab[h % kVocabSize];
+  return kVocab[value.index];
 }
 
 size_t LogicalInstance::TotalInstances() const {
@@ -51,6 +64,12 @@ LogicalInstance GenerateInstance(const er::ErGraph& graph,
   out.diagram_ = &diagram;
   out.graph_ = &graph;
   out.counts_.assign(diagram.num_nodes(), 0);
+  out.attr_seeds_.resize(diagram.num_nodes());
+  for (const er::ErNode& node : diagram.nodes()) {
+    for (const er::Attribute& attr : node.attributes) {
+      out.attr_seeds_[node.id].push_back(Hash64(attr.name));
+    }
+  }
   out.rel_pairs_.resize(diagram.num_nodes());
   out.adjacency_.resize(graph.num_edges());
 

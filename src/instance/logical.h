@@ -60,15 +60,44 @@ class LogicalInstance {
     return adjacency_[edge][x_inst];
   }
 
-  /// Deterministic attribute value. Key attributes yield
-  /// "<node>_<instance>"; string data attributes draw from a small
-  /// vocabulary (so predicates are selective); ints are pseudo-random in
-  /// [0, 1000).
-  std::string AttrValue(er::NodeId node, uint32_t inst,
-                        size_t attr_index) const;
+  /// Values per non-key attribute kind: ints lie in [0, kIntValues), and
+  /// strings are one of kVocabWords vocabulary words.
+  static constexpr uint32_t kIntValues = 1000;
+  static constexpr uint32_t kVocabWords = 18;
 
+  /// Which value an attribute record holds, without rendering it: equal
+  /// identities render equal strings, so a materializer can resolve each
+  /// identity to a dictionary id once.
+  struct ValueRef {
+    enum class Kind : uint8_t {
+      kKey,   ///< the key of instance `index` of `node`
+      kInt,   ///< the int `index`, in [0, kIntValues)
+      kWord,  ///< vocabulary word `index`, in [0, kVocabWords)
+    };
+    Kind kind = Kind::kKey;
+    er::NodeId node = er::kInvalidNode;  ///< kKey only
+    uint32_t index = 0;
+  };
+
+  /// Deterministic attribute value. Key attributes yield the instance's
+  /// key; string data attributes draw from a small vocabulary (so
+  /// predicates are selective); ints are pseudo-random in [0, 1000).
+  ValueRef AttrValueRef(er::NodeId node, uint32_t inst,
+                        size_t attr_index) const;
+  static ValueRef KeyValueRef(er::NodeId node, uint32_t inst) {
+    return {ValueRef::Kind::kKey, node, inst};
+  }
+  /// The string a value identity stands for; keys are "<node>_<instance>".
+  std::string Render(const ValueRef& value) const;
+
+  std::string AttrValue(er::NodeId node, uint32_t inst,
+                        size_t attr_index) const {
+    return Render(AttrValueRef(node, inst, attr_index));
+  }
   /// The key value of an instance (for idrefs and point predicates).
-  std::string KeyValue(er::NodeId node, uint32_t inst) const;
+  std::string KeyValue(er::NodeId node, uint32_t inst) const {
+    return Render(KeyValueRef(node, inst));
+  }
 
   /// Sum of instance counts over all nodes.
   size_t TotalInstances() const;
@@ -79,6 +108,9 @@ class LogicalInstance {
   const er::ErDiagram* diagram_ = nullptr;
   const er::ErGraph* graph_ = nullptr;
   std::vector<size_t> counts_;
+  /// attr_seeds_[node][a]: Hash64 of the attribute's name, which seeds
+  /// its data values.
+  std::vector<std::vector<uint64_t>> attr_seeds_;
   /// rel_pairs_[rel][inst] = {endpoint0 instance, endpoint1 instance};
   /// empty for entity nodes.
   std::vector<std::vector<std::array<uint32_t, 2>>> rel_pairs_;

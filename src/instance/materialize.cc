@@ -1,6 +1,7 @@
 #include "instance/materialize.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/logging.h"
@@ -8,6 +9,9 @@
 namespace mctdb::instance {
 
 namespace {
+
+/// A dictionary id not resolved yet.
+constexpr uint32_t kUnresolved = UINT32_MAX;
 
 class Materializer {
  public:
@@ -23,7 +27,12 @@ class Materializer {
     // the relationship element is created.
     refs_by_node_.resize(num_nodes);
     for (const mct::RefEdge& ref : schema.ref_edges()) {
-      refs_by_node_[schema.occ(ref.from).er_node].push_back(&ref);
+      refs_by_node_[schema.occ(ref.from).er_node].push_back({&ref});
+    }
+    attr_name_ids_.resize(num_nodes);
+    for (er::NodeId n = 0; n < num_nodes; ++n) {
+      attr_name_ids_[n].assign(schema.diagram().node(n).attributes.size(),
+                               kUnresolved);
     }
     // Dense per-instance state: (node, instance) and (occurrence,
     // instance) pairs map to offsets into flat arrays.
@@ -33,6 +42,9 @@ class Materializer {
     }
     shared_elems_.assign(node_base_[num_nodes], storage::kInvalidElem);
     color_stamp_.assign(node_base_[num_nodes], 0);
+    key_value_ids_.assign(node_base_[num_nodes], kUnresolved);
+    int_value_ids_.fill(kUnresolved);
+    word_value_ids_.fill(kUnresolved);
     const auto& occs = schema.occurrences();
     occ_base_.resize(occs.size() + 1, 0);
     for (size_t o = 0; o < occs.size(); ++o) {
@@ -98,22 +110,54 @@ class Materializer {
   storage::ElemId NewElement(er::NodeId node, uint32_t inst, bool is_copy) {
     storage::ElemId elem = builder_.AddElement(node, inst, is_copy);
     const er::ErNode& meta = schema_.diagram().node(node);
+    std::vector<uint32_t>& name_ids = attr_name_ids_[node];
     for (size_t a = 0; a < meta.attributes.size(); ++a) {
+      const er::Attribute& attr = meta.attributes[a];
+      if (name_ids[a] == kUnresolved) {
+        name_ids[a] = builder_.InternAttrName(attr.name);
+      }
       // Key attributes are id-valued (no separate content node); data
       // attributes own a content node (Table 1 distinguishes the counts).
-      builder_.AddAttr(elem, meta.attributes[a].name,
-                       logical_.AttrValue(node, inst, a),
-                       /*with_content=*/!meta.attributes[a].is_key);
+      builder_.AddAttr(elem, name_ids[a],
+                       ValueId(logical_.AttrValueRef(node, inst, a)),
+                       /*with_content=*/!attr.is_key);
     }
-    for (const mct::RefEdge* ref : refs_by_node_[node]) {
+    for (RefSlot& slot : refs_by_node_[node]) {
       // The relationship instance's endpoint on the referenced side.
-      const er::ErEdge& e = graph_.edge(ref->er_edge);
+      const er::ErEdge& e = graph_.edge(slot.ref->er_edge);
       uint32_t target_inst = logical_.EndpointOf(e.rel, e.endpoint_index, inst);
-      builder_.AddAttr(elem, ref->attr_name,
-                       logical_.KeyValue(ref->target, target_inst),
-                       /*with_content=*/false);
+      if (slot.name_id == kUnresolved) {
+        slot.name_id = builder_.InternAttrName(slot.ref->attr_name);
+      }
+      builder_.AddAttr(
+          elem, slot.name_id,
+          ValueId(LogicalInstance::KeyValueRef(slot.ref->target, target_inst)),
+          /*with_content=*/false);
     }
     return elem;
+  }
+
+  /// The store's id for a value identity. Its string is rendered and
+  /// interned only the first time the identity comes up: the order in
+  /// which interning every record's string assigned ids, so dictionaries
+  /// and images do not depend on this shortcut.
+  uint32_t ValueId(const LogicalInstance::ValueRef& value) {
+    uint32_t* slot = nullptr;
+    switch (value.kind) {
+      case LogicalInstance::ValueRef::Kind::kKey:
+        slot = &key_value_ids_[node_base_[value.node] + value.index];
+        break;
+      case LogicalInstance::ValueRef::Kind::kInt:
+        slot = &int_value_ids_[value.index];
+        break;
+      case LogicalInstance::ValueRef::Kind::kWord:
+        slot = &word_value_ids_[value.index];
+        break;
+    }
+    if (*slot == kUnresolved) {
+      *slot = builder_.InternValue(logical_.Render(value));
+    }
+    return *slot;
   }
 
   void Place(mct::OccId occ_id, uint32_t inst) {
@@ -160,8 +204,20 @@ class Materializer {
   /// never needs clearing for the next.
   std::vector<size_t> occ_base_;
   std::vector<uint8_t> placed_at_;
+  /// Dictionary ids by value identity (kUnresolved until first seen):
+  /// keys at node_base_[node] + instance, then ints, then words.
+  std::vector<uint32_t> key_value_ids_;
+  std::array<uint32_t, LogicalInstance::kIntValues> int_value_ids_;
+  std::array<uint32_t, LogicalInstance::kVocabWords> word_value_ids_;
+  /// attr_name_ids_[node][a]: name id of the node's attribute a.
+  std::vector<std::vector<uint32_t>> attr_name_ids_;
+  /// A ref edge and the name id of its idref attribute.
+  struct RefSlot {
+    const mct::RefEdge* ref;
+    uint32_t name_id = kUnresolved;
+  };
   /// ref_edges by the ER node whose elements carry the idref.
-  std::vector<std::vector<const mct::RefEdge*>> refs_by_node_;
+  std::vector<std::vector<RefSlot>> refs_by_node_;
   size_t placements_ = 0;
 };
 

@@ -11,20 +11,13 @@
 
 namespace mctdb::storage {
 
-PageId Pager::Allocate() {
-  auto page = std::make_unique<char[]>(kPageSize);
-  std::memset(page.get(), 0, kPageSize);
+PageId Pager::Append(const char* data) {
+  auto page = std::make_unique_for_overwrite<char[]>(kPageSize);
+  std::memcpy(page.get(), data, kPageSize);
   checksums_.push_back(PageChecksum(page.get(), kPageSize));
   pages_.push_back(std::move(page));
   disk_writes_.fetch_add(1, std::memory_order_relaxed);
   return static_cast<PageId>(pages_.size() - 1);
-}
-
-void Pager::Write(PageId id, const char* data) {
-  MCTDB_CHECK(id < pages_.size());
-  std::memcpy(pages_[id].get(), data, kPageSize);
-  checksums_[id] = PageChecksum(data, kPageSize);
-  disk_writes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Pager::SetReadHook(std::function<void(PageId)> hook) {

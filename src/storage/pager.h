@@ -22,12 +22,12 @@ inline constexpr size_t kPageSize = 8192;
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPage = 0xFFFFFFFFu;
 
-/// The backing store. Allocation and writes happen at load time (single
-/// threaded); reads are counted as disk I/O (they are served from a
-/// separate heap area and copied, so the buffer pool is the only fast
-/// path) and are safe to issue from many threads concurrently.
+/// The backing store. Pages are appended at build and load time (single
+/// threaded) and never rewritten; reads are counted as disk I/O (they are
+/// served from a separate heap area and copied, so the buffer pool is the
+/// only fast path) and are safe to issue from many threads concurrently.
 ///
-/// Every Write records a 64-bit page checksum (common/hash.h PageChecksum)
+/// Every Append records a 64-bit page checksum (common/hash.h PageChecksum)
 /// which Read verifies after the copy; a mismatch — real corruption via
 /// CorruptForTest, or an injected "pager.read" fault — is retried per the
 /// retry policy and surfaces as Status::DataLoss only once the attempts
@@ -35,10 +35,8 @@ inline constexpr PageId kInvalidPage = 0xFFFFFFFFu;
 /// checksum_failures() expose the recovery activity for /metrics.
 class Pager {
  public:
-  /// Allocates a zeroed page.
-  PageId Allocate();
-  /// Overwrites a full page.
-  void Write(PageId id, const char* data);
+  /// Appends a page holding a copy of the kPageSize bytes at `data`.
+  PageId Append(const char* data);
   /// Copies a page out and verifies its checksum, retrying transient
   /// failures with backoff. Counted as one disk read regardless of
   /// attempts. Thread-safe.
@@ -54,7 +52,7 @@ class Pager {
   /// Raw page bytes for persistence (not counted as query I/O).
   const char* RawPage(PageId id) const { return pages_[id].get(); }
 
-  /// Checksum recorded for `id` at the last Write/Allocate (for persist).
+  /// Checksum recorded for `id` when it was appended.
   uint64_t PageChecksumValue(PageId id) const { return checksums_[id]; }
 
   /// Test seam: flip one stored byte *without* updating the recorded

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -33,15 +34,19 @@ uint64_t HashBytes(uint64_t h, const void* data, size_t n) {
   return h;
 }
 
-/// Minimal buffered binary writer over stdio. Every payload byte feeds a
-/// running section hash; EndSection emits the hash (itself unhashed) so
-/// the reader can verify each section independently. The failure seams
-/// model a lying disk: FailWrites makes every write error out (detected,
-/// -> IoError), LimitBytes silently drops everything past the limit
-/// (UNdetected at save time — the checksums catch it at load).
+/// Buffered binary writer over stdio. Every payload byte feeds a running
+/// section hash; EndSection emits the hash (itself unhashed) so the reader
+/// can verify each section independently. Bytes collect in one
+/// kImageIoBufferBytes buffer. The failure seams model a lying disk and
+/// act where the buffer drains to the file: FailWrites makes every write
+/// error out (detected, -> IoError), LimitBytes silently drops everything
+/// past the limit (UNdetected at save time — the checksums catch it at
+/// load).
 class Writer {
  public:
-  explicit Writer(std::FILE* f) : f_(f) {}
+  explicit Writer(std::FILE* f)
+      : f_(f),
+        buf_(std::make_unique_for_overwrite<char[]>(kImageIoBufferBytes)) {}
   void U32(uint32_t v) { Bytes(&v, sizeof(v)); }
   void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
   void Str(const std::string& s) {
@@ -63,26 +68,42 @@ class Writer {
     limit_enabled_ = true;
     limit_ = limit;
   }
-  bool ok() const { return ok_; }
+  /// Drains the buffer; true when every byte reached the file.
+  bool Finish() {
+    Drain();
+    return ok_;
+  }
 
  private:
   void Raw(const void* data, size_t n) {
+    const char* p = static_cast<const char*>(data);
+    while (n > 0) {
+      if (used_ == kImageIoBufferBytes) Drain();
+      const size_t chunk = std::min(n, kImageIoBufferBytes - used_);
+      std::memcpy(buf_.get() + used_, p, chunk);
+      used_ += chunk;
+      p += chunk;
+      n -= chunk;
+    }
+  }
+  void Drain() {
+    size_t n = used_;
+    used_ = 0;
     if (fail_writes_) {
       ok_ = false;
       return;
     }
     if (limit_enabled_) {
-      size_t room = written_ < limit_ ? limit_ - written_ : 0;
-      written_ += n;
+      const size_t room = written_ < limit_ ? limit_ - written_ : 0;
       if (n > room) n = room;  // silently short: the disk lied
-      if (n == 0) return;
-    } else {
-      written_ += n;
     }
-    if (std::fwrite(data, 1, n, f_) != n) ok_ = false;
+    written_ += n;
+    if (n > 0 && std::fwrite(buf_.get(), 1, n, f_) != n) ok_ = false;
   }
 
   std::FILE* f_;
+  std::unique_ptr<char[]> buf_;
+  size_t used_ = 0;
   uint64_t hash_ = kHashSeed;
   size_t written_ = 0;
   size_t limit_ = 0;
@@ -91,9 +112,13 @@ class Writer {
   bool ok_ = true;
 };
 
+/// Buffered reader, the Writer's mirror over one kImageIoBufferBytes
+/// buffer.
 class Reader {
  public:
-  explicit Reader(std::FILE* f) : f_(f) {}
+  explicit Reader(std::FILE* f)
+      : f_(f),
+        buf_(std::make_unique_for_overwrite<char[]>(kImageIoBufferBytes)) {}
   uint32_t U32() {
     uint32_t v = 0;
     Bytes(&v, sizeof(v));
@@ -115,9 +140,22 @@ class Reader {
     return s;
   }
   void Bytes(void* out, size_t n) {
-    if (!ok_) return;
-    if (!Raw(out, n)) return;
-    hash_ = HashBytes(hash_, out, n);
+    char* p = static_cast<char*>(out);
+    while (n > 0) {
+      const size_t chunk = std::min(n, kImageIoBufferBytes);
+      const char* src = Take(chunk);
+      if (src == nullptr) return;
+      std::memcpy(p, src, chunk);
+      p += chunk;
+      n -= chunk;
+    }
+  }
+  /// Consumes `n` <= kImageIoBufferBytes bytes and returns them in place,
+  /// valid until the next read; nullptr (and !ok()) past the end.
+  const char* Take(size_t n) {
+    const char* p = Raw(n);
+    if (p != nullptr) hash_ = HashBytes(hash_, p, n);
+    return p;
   }
   /// Verifies the section checksum the writer emitted at this position.
   /// OK, or DataLoss naming the section on truncation/mismatch.
@@ -125,10 +163,12 @@ class Reader {
     uint64_t computed = hash_;
     hash_ = kHashSeed;
     uint64_t stored = 0;
-    if (!ok_ || !Raw(&stored, sizeof(stored))) {
+    const char* p = Raw(sizeof(stored));
+    if (p == nullptr) {
       return Status::DataLoss(std::string("truncated in section '") + name +
                               "'");
     }
+    std::memcpy(&stored, p, sizeof(stored));
     if (stored != computed) {
       return Status::DataLoss(std::string("section '") + name +
                               "' checksum mismatch");
@@ -143,20 +183,38 @@ class Reader {
   bool ok() const { return ok_; }
 
  private:
-  bool Raw(void* out, size_t n) {
-    if (limit_enabled_ && read_ + n > limit_) {
+  const char* Raw(size_t n) {
+    if (!ok_) return nullptr;
+    if ((limit_enabled_ && read_ + n > limit_) ||
+        (end_ - pos_ < n && !Refill(n))) {
       ok_ = false;
-      return false;
+      return nullptr;
     }
+    const char* p = buf_.get() + pos_;
+    pos_ += n;
     read_ += n;
-    if (std::fread(out, 1, n, f_) != n) {
-      ok_ = false;
-      return false;
+    return p;
+  }
+  /// Moves the unread tail to the front and reads until `n` bytes are
+  /// buffered; false at end of file.
+  bool Refill(size_t n) {
+    const size_t left = end_ - pos_;
+    std::memmove(buf_.get(), buf_.get() + pos_, left);
+    pos_ = 0;
+    end_ = left;
+    while (end_ < n) {
+      const size_t got = std::fread(buf_.get() + end_, 1,
+                                    kImageIoBufferBytes - end_, f_);
+      if (got == 0) return false;
+      end_ += got;
     }
     return true;
   }
 
   std::FILE* f_;
+  std::unique_ptr<char[]> buf_;
+  size_t pos_ = 0;  // next unread byte in buf_
+  size_t end_ = 0;  // bytes in buf_
   uint64_t hash_ = kHashSeed;
   size_t read_ = 0;
   size_t limit_ = 0;
@@ -200,6 +258,7 @@ Status SyncParentDir(const std::string& path) {
 Status SaveStore(const MctStore& store, const std::string& path, bool sync) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IoError("cannot open " + path);
+  std::setvbuf(f, nullptr, _IONBF, 0);  // Writer does the buffering
   Writer w(f);
   int injected_errno = 0;
   switch (MCTDB_FAILPOINT("persist.save")) {
@@ -314,7 +373,7 @@ Status SaveStore(const MctStore& store, const std::string& path, bool sync) {
   w.U64(store.num_content_nodes_);
   w.EndSection();
 
-  bool ok = w.ok();
+  bool ok = w.Finish();
   if (ok && sync) {
     if (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0) ok = false;
   }
@@ -334,6 +393,7 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
                                             const StoreOptions& options) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::IoError("cannot open " + path);
+  std::setvbuf(f, nullptr, _IONBF, 0);  // Reader does the buffering
   Reader r(f);
   // Malformed input (wrong file / wrong schema): the caller's mistake.
   auto bad = [&](const std::string& msg) -> Status {
@@ -393,12 +453,10 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
 
   uint32_t num_pages = r.U32();
   if (!r.ok() || num_pages > (1u << 24)) return lost("bad page count");
-  char page[kPageSize];
   for (uint32_t p = 0; p < num_pages; ++p) {
-    r.Bytes(page, kPageSize);
-    if (!r.ok()) return lost("truncated pages");
-    PageId id = store->pager_.Allocate();
-    store->pager_.Write(id, page);
+    const char* page = r.Take(kPageSize);
+    if (page == nullptr) return lost("truncated pages");
+    store->pager_.Append(page);
   }
   MCTDB_RETURN_IF_ERROR(check_section("pages"));
 
@@ -406,7 +464,6 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
   if (!r.ok() || num_elements > (1u << 28)) {
     return lost("bad element count");
   }
-  store->key_index_.resize(schema.diagram().num_nodes());
   for (uint32_t i = 0; i < num_elements; ++i) {
     ElementMeta m;
     m.er_node = r.U32();
@@ -416,11 +473,13 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
     if (m.er_node >= schema.diagram().num_nodes()) {
       return lost("bad element record");
     }
-    store->key_index_[m.er_node][m.logical].push_back(i);
     store->elements_.push_back(m);
   }
   MCTDB_RETURN_IF_ERROR(check_section("elements"));
 
+  // Dictionary ids are checked against the dictionaries, which follow.
+  uint64_t names_needed = 0;
+  uint64_t values_needed = 0;
   for (uint32_t i = 0; i < num_elements; ++i) {
     uint32_t n = r.U32();
     if (!r.ok() || n > (1u << 20)) return lost("bad attr list");
@@ -429,6 +488,8 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
       recs[a].name_id = r.U32();
       recs[a].value_id = r.U32();
       recs[a].has_content = r.U32() != 0;
+      names_needed = std::max(names_needed, uint64_t{recs[a].name_id} + 1);
+      values_needed = std::max(values_needed, uint64_t{recs[a].value_id} + 1);
     }
     if (!r.ok()) return lost("truncated attrs");
     store->attrs_.push_back(std::move(recs));
@@ -449,6 +510,9 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
   }
   if (!r.ok()) return lost("truncated dictionaries");
   MCTDB_RETURN_IF_ERROR(check_section("dicts"));
+  if (names_needed > num_names || values_needed > num_values) {
+    return lost("attribute record names a missing dictionary entry");
+  }
 
   uint32_t num_colors = r.U32();
   if (!r.ok()) return lost("truncated colors");
@@ -473,7 +537,9 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
     for (uint32_t i = 0; i < np; ++i) {
       uint32_t elem = r.U32();
       uint32_t parent = r.U32();
-      if (!r.ok() || elem >= num_elements) return lost("bad parent");
+      if (!r.ok() || elem >= num_elements || parent >= num_elements) {
+        return lost("bad parent");
+      }
       placed.SetParent(elem, parent);
     }
   }
@@ -533,6 +599,7 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
   MCTDB_RETURN_IF_ERROR(check_section("counters"));
   std::fclose(f);
 
+  store->BuildKeyIndex();
   store->pool_ = std::make_unique<ShardedBufferPool>(
       &store->pager_, options.buffer_pool_pages, /*num_shards=*/1);
   return store;

@@ -14,15 +14,26 @@
 //   postidx : versioned per-(color, tag) page summaries (first start, max
 //             end) — the persistent interval index behind index-assisted
 //             posting seeks; one summary per posting page
-//   keyindex: rebuilt on load (derivable)
+//   counters: attribute and content-node counts
+//
+// The key index (logical id -> elements) is not stored: LoadStore sorts it
+// out of the elements section once every section has checked out, as
+// StoreBuilder::Finish does for a fresh build.
+//
+// Bytes move through one kImageIoBufferBytes buffer each way, not one
+// stdio call per field, and each loaded page is copied and checksummed
+// once (Pager::Append). The buffer is invisible in the file: the image
+// bytes, the checks below and the failpoints behave as if every field
+// were read and written on its own.
 //
 // Every section ends with a 64-bit checksum of its bytes, verified on
 // load. Version 2 (this PR's hardening) draws a clean error taxonomy:
 // the wrong file or schema is InvalidArgument (bad magic, fingerprint or
 // color-count mismatch, v1 files), while a damaged right file — truncated
 // sections, flipped bits, counts pointing past the data — is DataLoss.
-// Load never trusts a count it has not bounds-checked, so a corrupt file
-// fails cleanly instead of over-allocating or indexing out of range (the
+// Load never trusts a count or id it has not bounds-checked — element,
+// parent, dictionary and page ids included — so a corrupt file fails
+// cleanly instead of over-allocating or indexing out of range (the
 // tests/data corpus pins this down under ASAN).
 //
 // The schema itself is NOT serialized — the caller re-derives it (designs
@@ -42,6 +53,9 @@
 #include "storage/store.h"
 
 namespace mctdb::storage {
+
+/// Size of the buffer SaveStore and LoadStore move image bytes through.
+inline constexpr size_t kImageIoBufferBytes = size_t{1} << 20;
 
 /// Stable fingerprint of a schema's shape (colors, occurrences, edges, ref
 /// edges) used to pair data files with schemas.

@@ -8,9 +8,7 @@ namespace mctdb::storage {
 
 void PostingWriter::Append(const LabelEntry& entry) {
   if (in_buffer_ == kEntriesPerPage) {
-    PageId page = pager_->Allocate();
-    pager_->Write(page, buffer_);
-    meta_.pages.push_back(page);
+    meta_.pages.push_back(pager_->Append(buffer_));
     meta_.summaries.push_back(page_summary_);
     in_buffer_ = 0;
   }
@@ -29,9 +27,7 @@ PostingMeta PostingWriter::Finish() {
   if (in_buffer_ > 0) {
     std::memset(buffer_ + in_buffer_ * sizeof(LabelEntry), 0,
                 kPageSize - in_buffer_ * sizeof(LabelEntry));
-    PageId page = pager_->Allocate();
-    pager_->Write(page, buffer_);
-    meta_.pages.push_back(page);
+    meta_.pages.push_back(pager_->Append(buffer_));
     meta_.summaries.push_back(page_summary_);
     in_buffer_ = 0;
   }

@@ -8,6 +8,108 @@
 
 namespace mctdb::storage {
 
+namespace {
+
+/// Id of `s` in (strings, index), appending it on first sight.
+uint32_t Intern(std::string_view s, StableVector<std::string>* strings,
+                DictIndex* index) {
+  auto it = index->find(s);
+  if (it != index->end()) return it->second;
+  uint32_t id = static_cast<uint32_t>(strings->size());
+  strings->emplace_back(s);
+  index->emplace(strings->back(), id);
+  return id;
+}
+
+/// Stable LSD radix sort of (logical << 32 | elem) pairs on the logical
+/// id, eight bits per pass. A pass whose digit is the same in every pair
+/// moves nothing and is skipped, so small ids cost one or two passes.
+void SortByLogical(std::vector<uint64_t>* pairs,
+                   std::vector<uint64_t>* scratch) {
+  uint32_t counts[4][256] = {};
+  for (uint64_t p : *pairs) {
+    for (int d = 0; d < 4; ++d) ++counts[d][(p >> (32 + 8 * d)) & 0xFF];
+  }
+  scratch->resize(pairs->size());
+  for (int d = 0; d < 4; ++d) {
+    const int shift = 32 + 8 * d;
+    if (counts[d][(pairs->front() >> shift) & 0xFF] == pairs->size()) {
+      continue;
+    }
+    uint32_t next[256];
+    uint32_t sum = 0;
+    for (int b = 0; b < 256; ++b) {
+      next[b] = sum;
+      sum += counts[d][b];
+    }
+    for (uint64_t p : *pairs) (*scratch)[next[(p >> shift) & 0xFF]++] = p;
+    pairs->swap(*scratch);
+  }
+}
+
+}  // namespace
+
+std::span<const ElemId> KeyIndex::Find(uint32_t logical) const {
+  // Generated ids run 0 .. count - 1, so an id usually sits at its own
+  // position; sorted distinct ids put id v at position v or earlier, so a
+  // match there is the entry. Other ids take the binary search.
+  size_t i = logical;
+  if (i >= logicals.size() || logicals[i] != logical) {
+    auto it = std::lower_bound(logicals.begin(), logicals.end(), logical);
+    if (it == logicals.end() || *it != logical) return {};
+    i = static_cast<size_t>(it - logicals.begin());
+  }
+  return {elems.data() + offsets[i], elems.data() + offsets[i + 1]};
+}
+
+uint32_t MctStore::InternAttrName(std::string_view name) {
+  return Intern(name, &attr_names_, &attr_name_index_);
+}
+
+uint32_t MctStore::InternValue(std::string_view value) {
+  return Intern(value, &values_, &value_index_);
+}
+
+void MctStore::BuildKeyIndex() {
+  const size_t num_nodes = schema_->diagram().num_nodes();
+  // Bucket (logical, elem) pairs by ER node in element order, then sort
+  // each bucket stably by logical id: elements of one logical id stay in
+  // id order.
+  std::vector<std::vector<uint64_t>> pairs(num_nodes);
+  {
+    std::vector<uint32_t> per_node(num_nodes, 0);
+    for (const ElementMeta& m : elements_) ++per_node[m.er_node];
+    for (size_t n = 0; n < num_nodes; ++n) pairs[n].reserve(per_node[n]);
+  }
+  ElemId id = 0;
+  for (const ElementMeta& m : elements_) {
+    pairs[m.er_node].push_back((uint64_t{m.logical} << 32) | id++);
+  }
+  key_index_.assign(num_nodes, KeyIndex());
+  std::vector<uint64_t> scratch;
+  for (size_t n = 0; n < num_nodes; ++n) {
+    if (pairs[n].empty()) continue;
+    SortByLogical(&pairs[n], &scratch);
+    KeyIndex& index = key_index_[n];
+    index.elems.reserve(pairs[n].size());
+    for (uint64_t p : pairs[n]) {
+      const uint32_t logical = static_cast<uint32_t>(p >> 32);
+      if (index.logicals.empty() || index.logicals.back() != logical) {
+        index.logicals.push_back(logical);
+        index.offsets.push_back(static_cast<uint32_t>(index.elems.size()));
+      }
+      index.elems.push_back(static_cast<ElemId>(p));
+    }
+    index.offsets.push_back(static_cast<uint32_t>(index.elems.size()));
+  }
+}
+
+std::span<const ElemId> MctStore::BaseElementsFor(er::NodeId er_node,
+                                                  uint32_t logical) const {
+  if (er_node >= key_index_.size()) return {};
+  return key_index_[er_node].Find(logical);
+}
+
 const std::string* MctStore::AttrValue(ElemId id, std::string_view attr_name,
                                        Lsn snapshot) const {
   uint32_t value_id = AttrValueId(id, FindAttrName(attr_name), snapshot);
@@ -51,7 +153,7 @@ bool MctStore::ElementLive(ElemId id, Lsn snapshot) const {
 
 uint32_t MctStore::FindAttrName(std::string_view name) const {
   auto lookup = [&]() {
-    auto it = attr_name_index_.find(std::string(name));
+    auto it = attr_name_index_.find(name);
     return it == attr_name_index_.end() ? UINT32_MAX : it->second;
   };
   if (!versioned()) return lookup();
@@ -61,7 +163,7 @@ uint32_t MctStore::FindAttrName(std::string_view name) const {
 
 uint32_t MctStore::FindValue(std::string_view v) const {
   auto lookup = [&]() {
-    auto it = value_index_.find(std::string(v));
+    auto it = value_index_.find(v);
     return it == value_index_.end() ? UINT32_MAX : it->second;
   };
   if (!versioned()) return lookup();
@@ -155,9 +257,8 @@ std::vector<LabelEntry> MctStore::ColorEntries(mct::ColorId color,
 std::vector<ElemId> MctStore::ElementsFor(er::NodeId er_node, uint32_t logical,
                                           Lsn snapshot) const {
   if (er_node >= key_index_.size()) return {};
-  std::vector<ElemId> out;
-  auto it = key_index_[er_node].find(logical);
-  if (it != key_index_[er_node].end()) out = it->second;
+  std::span<const ElemId> base = BaseElementsFor(er_node, logical);
+  std::vector<ElemId> out(base.begin(), base.end());
   if (!versioned()) return out;
   std::shared_lock lk(deltas_->mu);
   auto is_deleted = [&](ElemId elem) {
@@ -227,15 +328,7 @@ void MctStore::PublishVisibleLsn(Lsn lsn) {
 void MctStore::UpdateAttrValue(ElemId id, uint32_t name_id,
                                std::string_view value) {
   MCTDB_CHECK(id < elements_.size());
-  auto it = value_index_.find(std::string(value));
-  uint32_t value_id;
-  if (it != value_index_.end()) {
-    value_id = it->second;
-  } else {
-    value_id = static_cast<uint32_t>(values_.size());
-    values_.emplace_back(value);
-    value_index_.emplace(values_.back(), value_id);
-  }
+  const uint32_t value_id = InternValue(value);
   for (AttrRecord& a : attrs_[id]) {
     if (a.name_id == name_id) {
       a.value_id = value_id;
@@ -259,7 +352,6 @@ StoreBuilder::StoreBuilder(const mct::MctSchema* schema,
     per_color.resize(schema->diagram().num_nodes());
   }
   store_->placements_.resize(colors);
-  store_->key_index_.resize(schema->diagram().num_nodes());
   per_tag_entries_.resize(schema->diagram().num_nodes());
 }
 
@@ -268,33 +360,14 @@ ElemId StoreBuilder::AddElement(er::NodeId er_node, uint32_t logical,
   ElemId id = static_cast<ElemId>(store_->elements_.size());
   store_->elements_.push_back({er_node, logical, is_copy});
   store_->attrs_.emplace_back();
-  store_->key_index_[er_node][logical].push_back(id);
   return id;
 }
 
-uint32_t StoreBuilder::InternAttrName(std::string_view name) {
-  auto it = store_->attr_name_index_.find(std::string(name));
-  if (it != store_->attr_name_index_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(store_->attr_names_.size());
-  store_->attr_names_.emplace_back(name);
-  store_->attr_name_index_.emplace(store_->attr_names_.back(), id);
-  return id;
-}
-
-uint32_t StoreBuilder::InternValue(std::string_view value) {
-  auto it = store_->value_index_.find(std::string(value));
-  if (it != store_->value_index_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(store_->values_.size());
-  store_->values_.emplace_back(value);
-  store_->value_index_.emplace(store_->values_.back(), id);
-  return id;
-}
-
-void StoreBuilder::AddAttr(ElemId elem, std::string_view name,
-                           std::string_view value, bool with_content) {
+void StoreBuilder::AddAttr(ElemId elem, uint32_t name_id, uint32_t value_id,
+                           bool with_content) {
   AttrRecord rec;
-  rec.name_id = InternAttrName(name);
-  rec.value_id = InternValue(value);
+  rec.name_id = name_id;
+  rec.value_id = value_id;
   rec.has_content = with_content;
   store_->attrs_[elem].push_back(rec);
   ++store_->num_attribute_nodes_;
@@ -370,6 +443,7 @@ void StoreBuilder::EndColor() {
 
 std::unique_ptr<MctStore> StoreBuilder::Finish() {
   MCTDB_CHECK(!in_color_);
+  store_->BuildKeyIndex();
   store_->pool_ = std::make_unique<ShardedBufferPool>(
       &store_->pager_, options_.buffer_pool_pages, /*num_shards=*/1);
   return std::move(store_);

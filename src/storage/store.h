@@ -22,7 +22,9 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -108,6 +110,34 @@ struct ColorPlacements {
     return slots[id];
   }
 };
+
+/// One ER node's base key index: logical id -> stored elements, copies
+/// included. Three flat arrays, built once from the element table
+/// (MctStore::BuildKeyIndex) and never persisted. Logical ids are chosen
+/// by callers (inserts start at 1 << 20, images and WAL records bring them
+/// in from outside), so nothing here is sized by a logical id's value.
+struct KeyIndex {
+  /// Distinct logical ids present, ascending.
+  std::vector<uint32_t> logicals;
+  /// The elements of logicals[i] are elems[offsets[i] .. offsets[i + 1]).
+  std::vector<uint32_t> offsets;
+  /// Element ids grouped by logical id, ascending within each group.
+  std::vector<ElemId> elems;
+
+  /// The elements of `logical`; empty when it has none.
+  std::span<const ElemId> Find(uint32_t logical) const;
+};
+
+/// Hash for the string dictionaries' heterogeneous lookup: a probe takes a
+/// std::string_view and never builds a temporary std::string.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+using DictIndex =
+    std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>;
 
 /// Load-time statistics in Table 1's vocabulary.
 struct StoreStats {
@@ -209,6 +239,18 @@ class MctStore {
                                                      const StoreOptions&);
   MctStore() = default;
 
+  /// Dictionary ids of `name` / `value`, appended on first sight. The one
+  /// interning routine for builds, compaction and updates; callers on a
+  /// versioned store hold deltas_->mu exclusively.
+  uint32_t InternAttrName(std::string_view name);
+  uint32_t InternValue(std::string_view value);
+  /// Rebuilds key_index_ from elements_ in time linear in their number.
+  void BuildKeyIndex();
+  /// Base elements of (er_node, logical) in id order: the key index's one
+  /// accessor (deltas not applied).
+  std::span<const ElemId> BaseElementsFor(er::NodeId er_node,
+                                          uint32_t logical) const;
+
   const mct::MctSchema* schema_ = nullptr;
   Pager pager_;
   std::unique_ptr<ShardedBufferPool> pool_;
@@ -217,16 +259,18 @@ class MctStore {
   StableVector<std::vector<AttrRecord>> attrs_;
 
   StableVector<std::string> attr_names_;
-  std::unordered_map<std::string, uint32_t> attr_name_index_;
+  DictIndex attr_name_index_;
   StableVector<std::string> values_;
-  std::unordered_map<std::string, uint32_t> value_index_;
+  DictIndex value_index_;
 
   /// postings_[color][tag] (tag = ER node id); empty metas pruned to null.
   std::vector<std::vector<std::unique_ptr<PostingMeta>>> postings_;
   /// placements_[color]: elem -> label and parent in that color.
   std::vector<ColorPlacements> placements_;
-  /// key_index_[er_node]: logical -> elements (copies included).
-  std::vector<std::unordered_map<uint32_t, std::vector<ElemId>>> key_index_;
+  /// key_index_[er_node], rebuilt by StoreBuilder::Finish and LoadStore.
+  /// Elements inserted by updates live in StoreDeltas::key_index_added
+  /// until a checkpoint compacts them into a new base.
+  std::vector<KeyIndex> key_index_;
 
   /// LSN-versioned mutations over the immutable base; null on read-only
   /// stores (all accessors then take their original lock-free path).
@@ -241,7 +285,8 @@ class MctStore {
 /// Builds an MctStore. Usage (driven by instance::Materializer):
 ///   StoreBuilder b(&schema, options);
 ///   ElemId e = b.AddElement(type, logical, is_copy);
-///   b.AddAttr(e, "id", "c42", /*with_content=*/false);
+///   b.AddAttr(e, b.InternAttrName("id"), b.InternValue("c42"),
+///             /*with_content=*/false);
 ///   b.BeginColor(0); b.Enter(e); ... b.Leave(e); ... b.EndColor();
 ///   auto store = b.Finish();
 class StoreBuilder {
@@ -249,7 +294,15 @@ class StoreBuilder {
   StoreBuilder(const mct::MctSchema* schema, const StoreOptions& options);
 
   ElemId AddElement(er::NodeId er_node, uint32_t logical, bool is_copy);
-  void AddAttr(ElemId elem, std::string_view name, std::string_view value,
+  /// Dictionary ids, assigned in first-interned order. Callers that see a
+  /// string many times intern it once and keep the id.
+  uint32_t InternAttrName(std::string_view name) {
+    return store_->InternAttrName(name);
+  }
+  uint32_t InternValue(std::string_view value) {
+    return store_->InternValue(value);
+  }
+  void AddAttr(ElemId elem, uint32_t name_id, uint32_t value_id,
                bool with_content);
 
   /// Colors must be emitted in increasing order, 0 .. num_colors-1, with a
@@ -262,9 +315,6 @@ class StoreBuilder {
   std::unique_ptr<MctStore> Finish();
 
  private:
-  uint32_t InternAttrName(std::string_view name);
-  uint32_t InternValue(std::string_view value);
-
   std::unique_ptr<MctStore> store_;
   StoreOptions options_;
 

@@ -351,11 +351,8 @@ class UpdateApplier {
 
   std::vector<ElemId> ElementsForLocked(er::NodeId type,
                                         uint32_t logical) const {
-    std::vector<ElemId> out;
-    if (type < s_->key_index_.size()) {
-      auto it = s_->key_index_[type].find(logical);
-      if (it != s_->key_index_[type].end()) out = it->second;
-    }
+    std::span<const ElemId> base = s_->BaseElementsFor(type, logical);
+    std::vector<ElemId> out(base.begin(), base.end());
     auto added = d_->key_index_added[type].find(logical);
     if (added != d_->key_index_added[type].end()) {
       for (const auto& [lsn, elem] : added->second) out.push_back(elem);
@@ -364,24 +361,6 @@ class UpdateApplier {
                              [&](ElemId e) { return IsElementDeleted(e); }),
               out.end());
     return out;
-  }
-
-  uint32_t InternAttrNameLocked(std::string_view name) {
-    auto it = s_->attr_name_index_.find(std::string(name));
-    if (it != s_->attr_name_index_.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(s_->attr_names_.size());
-    s_->attr_names_.emplace_back(name);
-    s_->attr_name_index_.emplace(s_->attr_names_.back(), id);
-    return id;
-  }
-
-  uint32_t InternValueLocked(std::string_view value) {
-    auto it = s_->value_index_.find(std::string(value));
-    if (it != s_->value_index_.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(s_->values_.size());
-    s_->values_.emplace_back(value);
-    s_->value_index_.emplace(s_->values_.back(), id);
-    return id;
   }
 
   const std::string* AttrValueLocked(ElemId elem, uint32_t name_id) const {
@@ -409,7 +388,7 @@ class UpdateApplier {
                               op.attr);
     }
     uint32_t name_id = it->second;
-    uint32_t value_id = InternValueLocked(op.new_value);
+    uint32_t value_id = s_->InternValue(op.new_value);
     ApplyStats stats;
     std::unordered_set<mct::ColorId> colors;
     for (ElemId elem : elems) {
@@ -660,8 +639,8 @@ class UpdateApplier {
     for (NewNode& n : nodes) {
       for (const SubtreeSpec::Attr& a : n.spec->attrs) {
         AttrRecord rec;
-        rec.name_id = InternAttrNameLocked(a.name);
-        rec.value_id = InternValueLocked(a.value);
+        rec.name_id = s_->InternAttrName(a.name);
+        rec.value_id = s_->InternValue(a.value);
         rec.has_content = a.with_content;
         n.attr_records.push_back(rec);
       }
@@ -700,8 +679,8 @@ class UpdateApplier {
         }
         if (partner_key == nullptr) continue;
         AttrRecord rec;
-        rec.name_id = InternAttrNameLocked(re.attr_name);
-        rec.value_id = InternValueLocked(*partner_key);
+        rec.name_id = s_->InternAttrName(re.attr_name);
+        rec.value_id = s_->InternValue(*partner_key);
         rec.has_content = false;
         n.attr_records.push_back(rec);
       }

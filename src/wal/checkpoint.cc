@@ -1,6 +1,5 @@
 #include "wal/checkpoint.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace mctdb::wal {
@@ -12,21 +11,36 @@ Result<std::unique_ptr<storage::MctStore>> CompactStore(
     const storage::MctStore& src, const storage::StoreOptions& options) {
   const mct::MctSchema& schema = src.schema();
   storage::StoreBuilder builder(&schema, options);
-  std::unordered_map<ElemId, ElemId> remap;
+  // Source -> compact ids, dense over the source's id spaces. A name or
+  // value is interned when first seen, in the order a string-keyed rebuild
+  // interned it, so equal stores still compact to equal bytes.
+  std::vector<uint32_t> name_ids;
+  std::vector<uint32_t> value_ids;
+  auto map_id = [](std::vector<uint32_t>* ids, uint32_t id,
+                   auto intern) -> uint32_t {
+    if (id >= ids->size()) ids->resize(size_t{id} + 1, UINT32_MAX);
+    uint32_t& slot = (*ids)[id];
+    if (slot == UINT32_MAX) slot = intern();
+    return slot;
+  };
+  std::vector<ElemId> remap(src.num_elements(), storage::kInvalidElem);
   auto map_elem = [&](ElemId old_id) -> ElemId {
-    auto it = remap.find(old_id);
-    if (it != remap.end()) return it->second;
+    ElemId& new_id = remap[old_id];
+    if (new_id != storage::kInvalidElem) return new_id;
     const storage::ElementMeta& meta = src.element(old_id);
-    ElemId new_id = builder.AddElement(meta.er_node, meta.logical,
-                                       meta.is_copy);
+    new_id = builder.AddElement(meta.er_node, meta.logical, meta.is_copy);
     for (const storage::AttrRecord& rec : src.attrs(old_id)) {
-      const std::string& name = src.attr_name(rec.name_id);
+      const uint32_t name_id = map_id(&name_ids, rec.name_id, [&] {
+        return builder.InternAttrName(src.attr_name(rec.name_id));
+      });
       // Write the LATEST value through (renames fold into the image).
-      const std::string* v = src.AttrValue(old_id, name);
-      builder.AddAttr(new_id, name, v != nullptr ? *v : src.value(rec.value_id),
-                      rec.has_content);
+      uint32_t latest = src.AttrValueId(old_id, rec.name_id);
+      if (latest == UINT32_MAX) latest = rec.value_id;
+      const uint32_t value_id = map_id(&value_ids, latest, [&] {
+        return builder.InternValue(src.value(latest));
+      });
+      builder.AddAttr(new_id, name_id, value_id, rec.has_content);
     }
-    remap.emplace(old_id, new_id);
     return new_id;
   };
   for (mct::ColorId c = 0; c < schema.num_colors(); ++c) {
@@ -37,14 +51,14 @@ Result<std::unique_ptr<storage::MctStore>> CompactStore(
     std::vector<LabelEntry> open;
     for (const LabelEntry& e : entries) {
       while (!open.empty() && open.back().end < e.start) {
-        builder.Leave(remap.at(open.back().elem));
+        builder.Leave(remap[open.back().elem]);
         open.pop_back();
       }
       builder.Enter(map_elem(e.elem));
       open.push_back(e);
     }
     while (!open.empty()) {
-      builder.Leave(remap.at(open.back().elem));
+      builder.Leave(remap[open.back().elem]);
       open.pop_back();
     }
     builder.EndColor();

@@ -19,10 +19,8 @@ std::vector<PageId> FillPager(Pager* pager, size_t n) {
   std::vector<PageId> ids;
   char buf[kPageSize];
   for (size_t i = 0; i < n; ++i) {
-    PageId p = pager->Allocate();
     std::memset(buf, int(i & 0xFF), kPageSize);
-    pager->Write(p, buf);
-    ids.push_back(p);
+    ids.push_back(pager->Append(buf));
   }
   return ids;
 }

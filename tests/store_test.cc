@@ -34,8 +34,10 @@ TEST(StoreBuilderTest, SharedElementAcrossColors) {
   Fixture f;
   StoreBuilder builder(&f.schema, {});
   ElemId a0 = builder.AddElement(0, 0, false);
-  builder.AddAttr(a0, "id", "a_0", false);
-  builder.AddAttr(a0, "name", "Japan", true);
+  builder.AddAttr(a0, builder.InternAttrName("id"),
+                  builder.InternValue("a_0"), false);
+  builder.AddAttr(a0, builder.InternAttrName("name"),
+                  builder.InternValue("Japan"), true);
 
   builder.BeginColor(0);
   builder.Enter(a0);
@@ -151,7 +153,8 @@ TEST(StoreTest, AttrLookupAndUpdate) {
   Fixture f;
   StoreBuilder builder(&f.schema, {});
   ElemId a0 = builder.AddElement(0, 0, false);
-  builder.AddAttr(a0, "name", "Japan", true);
+  builder.AddAttr(a0, builder.InternAttrName("name"),
+                  builder.InternValue("Japan"), true);
   builder.BeginColor(0);
   builder.Enter(a0);
   builder.Leave(a0);
@@ -189,7 +192,9 @@ TEST(StoreTest, StatsBytesGrowWithData) {
   std::vector<ElemId> elems;
   for (uint32_t i = 0; i < 5000; ++i) {
     ElemId x = big_builder.AddElement(1, i, false);
-    big_builder.AddAttr(x, "id", "b_" + std::to_string(i), false);
+    big_builder.AddAttr(x, big_builder.InternAttrName("id"),
+                        big_builder.InternValue("b_" + std::to_string(i)),
+                        false);
     elems.push_back(x);
   }
   big_builder.BeginColor(0);

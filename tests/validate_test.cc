@@ -169,8 +169,10 @@ TEST(ValidateTest, DetectsDanglingIdref) {
   ElemId ea = builder.AddElement(a, 0, false);
   ElemId er_ = builder.AddElement(*r, 0, false);
   ElemId eb = builder.AddElement(b, 0, false);
-  builder.AddAttr(eb, "id", "b_0", false);
-  builder.AddAttr(er_, "b_idref", "b_GHOST", false);  // dangling!
+  builder.AddAttr(eb, builder.InternAttrName("id"), builder.InternValue("b_0"),
+                  false);
+  builder.AddAttr(er_, builder.InternAttrName("b_idref"),
+                  builder.InternValue("b_GHOST"), false);  // dangling!
   builder.BeginColor(0);
   builder.Enter(ea);
   builder.Enter(er_);
