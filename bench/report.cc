@@ -27,6 +27,13 @@ void AppendNumber(std::string* out, double v) {
   }
 }
 
+const double* FindExtra(const QueryRecord& r, const std::string& name) {
+  for (const auto& [n, v] : r.extra) {
+    if (n == name) return &v;
+  }
+  return nullptr;
+}
+
 void AppendRecord(std::string* out, const QueryRecord& r) {
   *out += "{\"schema\":\"" + obs::JsonEscape(r.schema) + "\"";
   *out += ",\"query\":\"" + obs::JsonEscape(r.query) + "\"";
@@ -218,21 +225,48 @@ CheckResult CheckAgainstBaseline(const BenchReport& current,
     return result;
   }
 
+  auto gate_counter = [&](std::string line) {
+    if (options.gate_counters) {
+      result.regressions.push_back(std::move(line));
+    } else {
+      result.notes.push_back(std::move(line));
+    }
+  };
   auto check_counter = [&](const QueryRecord& cur, const char* name,
                            double cur_v, double base_v) {
     if (cur_v > base_v) {
-      std::string line = StringPrintf(
+      gate_counter(StringPrintf(
           "%s %s/%s: %s increased %.0f -> %.0f", current.bench.c_str(),
-          cur.schema.c_str(), cur.query.c_str(), name, base_v, cur_v);
-      if (options.gate_counters) {
-        result.regressions.push_back(std::move(line));
-      } else {
-        result.notes.push_back(std::move(line));
-      }
+          cur.schema.c_str(), cur.query.c_str(), name, base_v, cur_v));
     } else if (cur_v < base_v) {
       result.notes.push_back(StringPrintf(
           "%s %s/%s: %s improved %.0f -> %.0f", current.bench.c_str(),
           cur.schema.c_str(), cur.query.c_str(), name, base_v, cur_v));
+    }
+  };
+  // Extras are answers and plan shapes, not costs: they must match
+  // exactly, name for name.
+  auto check_extras = [&](const QueryRecord& cur, const QueryRecord& base) {
+    for (const auto& [name, base_v] : base.extra) {
+      const double* cur_v = FindExtra(cur, name);
+      if (cur_v == nullptr) {
+        result.regressions.push_back(StringPrintf(
+            "%s %s/%s: extra %s missing from the current run (baseline %g)",
+            current.bench.c_str(), cur.schema.c_str(), cur.query.c_str(),
+            name.c_str(), base_v));
+      } else if (*cur_v != base_v) {
+        gate_counter(StringPrintf(
+            "%s %s/%s: %s changed %g -> %g", current.bench.c_str(),
+            cur.schema.c_str(), cur.query.c_str(), name.c_str(), base_v,
+            *cur_v));
+      }
+    }
+    for (const auto& [name, cur_v] : cur.extra) {
+      if (FindExtra(base, name) == nullptr) {
+        result.regressions.push_back(StringPrintf(
+            "%s %s/%s: extra %s=%g has no baseline", current.bench.c_str(),
+            cur.schema.c_str(), cur.query.c_str(), name.c_str(), cur_v));
+      }
     }
   };
 
@@ -259,14 +293,7 @@ CheckResult CheckAgainstBaseline(const BenchReport& current,
                   double(base.page_misses));
     check_counter(*cur, "join_pairs", double(cur->join_pairs),
                   double(base.join_pairs));
-    for (const auto& [name, base_v] : base.extra) {
-      for (const auto& [cur_name, cur_v] : cur->extra) {
-        if (cur_name == name) {
-          check_counter(*cur, name.c_str(), cur_v, base_v);
-          break;
-        }
-      }
-    }
+    check_extras(*cur, base);
   }
   for (const QueryRecord& cur : current.records) {
     if (baseline.Find(cur.schema, cur.query) == nullptr) {

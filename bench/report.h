@@ -20,9 +20,13 @@
 //   * median_seconds regresses when it exceeds baseline*(1+tolerance)
 //     AND the absolute growth exceeds min_abs_seconds (absolute floor so
 //     microsecond-scale medians don't flap in CI);
-//   * deterministic counters (page I/O, join pairs, extra) regress on
-//     ANY increase over baseline — they are exact in serial runs, so an
-//     increase is an algorithmic regression, not noise;
+//   * page_misses and join_pairs regress on ANY increase over baseline —
+//     they are exact in serial runs, so an increase is an algorithmic
+//     regression, not noise; a decrease is a note;
+//   * every `extra` (result counts, plan stats) must EQUAL its baseline:
+//     a drop in a result count is a wrong answer, not an improvement. An
+//     extra present on one side only is a regression too — a dropped
+//     result count, or the `error` extra a failed query adds;
 //   * a record present in the baseline but missing from the current run
 //     is a regression (a silently dropped measurement must not pass).
 #pragma once
@@ -95,7 +99,9 @@ struct CheckOptions {
   double tolerance = 0.25;
   /// Absolute floor under which timing growth is ignored (seconds).
   double min_abs_seconds = 0.005;
-  /// When false, deterministic counters are reported but not gated.
+  /// When false, counter increases and extra value changes are reported
+  /// as notes instead of regressions. Extras missing on either side still
+  /// fail.
   bool gate_counters = true;
   /// Strict mode (on in CI): a current record with no baseline is a
   /// FAILURE, not a note. Without it, renaming a query or adding a schema

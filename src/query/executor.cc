@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -32,6 +31,62 @@ const std::string* KeyAttrName(const er::ErDiagram& d, er::NodeId node) {
   return nullptr;
 }
 
+/// The attributes a value-join segment compares: the rel side holds
+/// "<endpoint>_idref", the endpoint side its key. `upper` belongs to the
+/// segment's from-type, `lower` to its to-type.
+struct JoinAttrs {
+  std::string upper;
+  std::string lower;
+};
+
+JoinAttrs ValueJoinAttrs(const mct::MctSchema& schema, const Segment& seg,
+                         const std::vector<er::NodeId>& path) {
+  const er::ErDiagram& d = schema.diagram();
+  const er::ErEdge& e = schema.graph().edge(seg.ref_edge);
+  const er::NodeId from_type = path[seg.from_index];
+  const er::NodeId to_type = path[seg.to_index];
+  std::string idref = d.node(e.node).name + "_idref";
+  const bool rel_to_endpoint = from_type == e.rel;
+  const std::string* key =
+      KeyAttrName(d, rel_to_endpoint ? to_type : from_type);
+  MCTDB_CHECK(key != nullptr);
+  if (rel_to_endpoint) return {std::move(idref), *key};
+  return {*key, std::move(idref)};
+}
+
+/// Index-assisted bounds: necessary conditions on a candidate's label for
+/// it to appear in ANY containment pair with `b`, derived from b's
+/// extremes. The cursor uses them only to skip whole ruled-out pages, so
+/// join results are unchanged.
+storage::ScanBounds CandidateBounds(const std::vector<LabelEntry>& b,
+                                    bool candidates_are_ancestors) {
+  storage::ScanBounds bounds;
+  if (!candidates_are_ancestors) {
+    // Candidate descendants: start must fall strictly inside some
+    // ancestor, so start > min(anc.start) and start < max(anc.end).
+    uint32_t min_start = UINT32_MAX;
+    uint32_t max_end = 0;
+    for (const LabelEntry& e : b) {
+      if (e.start < min_start) min_start = e.start;
+      if (e.end > max_end) max_end = e.end;
+    }
+    bounds.start_gt = min_start;
+    bounds.start_lt = max_end;
+  } else {
+    // Candidate ancestors: must open before some descendant and close at
+    // or after its end, so start < max(desc.start) and end >= min(desc.end).
+    uint32_t max_start = 0;
+    uint32_t min_end = UINT32_MAX;
+    for (const LabelEntry& e : b) {
+      if (e.start > max_start) max_start = e.start;
+      if (e.end < min_end) min_end = e.end;
+    }
+    bounds.start_lt = max_start;
+    bounds.end_gt = min_end == 0 ? 0 : min_end - 1;
+  }
+  return bounds;
+}
+
 }  // namespace
 
 Executor::Binding Executor::ScanTag(mct::ColorId color, er::NodeId tag,
@@ -46,49 +101,32 @@ Executor::Binding Executor::ScanTag(mct::ColorId color, er::NodeId tag,
   // cursor.
   storage::MergedPostingCursor cursor(pool_, *store_, color, tag, snapshot_,
                                       stats_);
-  if (bounds != nullptr && mode_ == ExecMode::kBatched) {
-    cursor.ApplyBounds(*bounds);
-  }
+  if (bounds != nullptr) cursor.ApplyBounds(*bounds);
   span.SetCardinalityIn(cursor.upper_bound());
   // One allocation up front: the cursor knows an exact upper bound on the
   // entries it can yield, so materialization never regrows mid-scan.
   out.reserve(cursor.upper_bound());
-  if (mode_ == ExecMode::kBatched) {
-    // Block-at-a-time: a page's worth of entries per call, appended (or
-    // predicate-filtered) straight from the pinned span. The predicate
-    // resolves its attr name and value to dictionary ids ONCE; per entry
-    // the filter is then an id compare, never a string hash/compare —
-    // and a value absent from the store-wide dictionary cannot match any
-    // element, so the scan ends before fetching another page.
-    uint32_t pred_name = UINT32_MAX, pred_value = UINT32_MAX;
-    if (predicate != nullptr) {
-      pred_name = store_->FindAttrName(predicate->attr);
-      pred_value = store_->FindValue(predicate->value);
+  // A page's worth of entries per call, appended (or predicate-filtered)
+  // straight from the pinned span. The predicate resolves its attr name
+  // and value to dictionary ids once; a value absent from the store-wide
+  // dictionary cannot match any element, so the scan ends before fetching
+  // another page.
+  uint32_t pred_name = UINT32_MAX, pred_value = UINT32_MAX;
+  if (predicate != nullptr) {
+    pred_name = store_->FindAttrName(predicate->attr);
+    pred_value = store_->FindValue(predicate->value);
+  }
+  const LabelEntry* data = nullptr;
+  size_t n = 0;
+  while (cursor.NextSpan(&data, &n)) {
+    if (predicate == nullptr) {
+      out.insert(out.end(), data, data + n);
+      continue;
     }
-    const LabelEntry* data = nullptr;
-    size_t n = 0;
-    while (cursor.NextSpan(&data, &n)) {
-      if (predicate == nullptr) {
-        out.insert(out.end(), data, data + n);
-        continue;
-      }
-      if (pred_name == UINT32_MAX || pred_value == UINT32_MAX) break;
-      for (size_t i = 0; i < n; ++i) {
-        if (store_->AttrValueId(data[i].elem, pred_name, snapshot_) ==
-            pred_value) {
-          out.push_back(data[i]);
-        }
-      }
-    }
-  } else {
-    LabelEntry e;
-    while (cursor.Next(&e)) {
-      if (predicate != nullptr) {
-        const std::string* v =
-            store_->AttrValue(e.elem, predicate->attr, snapshot_);
-        if (v == nullptr || *v != predicate->value) continue;
-      }
-      out.push_back(e);
+    if (pred_name == UINT32_MAX || pred_value == UINT32_MAX) break;
+    std::vector<uint32_t> ids = ValueIds({data, n}, pred_name);
+    for (size_t i = 0; i < n; ++i) {
+      if (ids[i] == pred_value) out.push_back(data[i]);
     }
   }
   if (!cursor.status().ok() && failure_.ok()) {
@@ -100,16 +138,47 @@ Executor::Binding Executor::ScanTag(mct::ColorId color, er::NodeId tag,
   return out;
 }
 
+std::vector<uint32_t> Executor::ValueIds(std::span<const LabelEntry> entries,
+                                         uint32_t name_id) const {
+  std::vector<uint32_t> ids;
+  ids.reserve(entries.size());
+  for (const LabelEntry& e : entries) {
+    ids.push_back(store_->AttrValueId(e.elem, name_id, snapshot_));
+  }
+  return ids;
+}
+
+Executor::Binding Executor::ValueSemiJoin(const Binding& keep,
+                                          std::string_view keep_attr,
+                                          const Binding& probe,
+                                          std::string_view probe_attr) {
+  // Hash the probe side's value ids; one membership pass over `keep` then
+  // selects the result.
+  std::vector<uint32_t> probe_ids =
+      ValueIds(probe, store_->FindAttrName(probe_attr));
+  std::unordered_set<uint32_t> wanted(probe_ids.begin(), probe_ids.end());
+  wanted.erase(UINT32_MAX);
+  std::vector<uint32_t> keep_ids =
+      ValueIds(keep, store_->FindAttrName(keep_attr));
+  Binding out;
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (wanted.count(keep_ids[i]) != 0) out.push_back(keep[i]);
+  }
+  return out;
+}
+
 Executor::Binding Executor::FilterPredicate(Binding in,
                                             const AttrPredicate& predicate) {
   obs::SpanScope span(stats_, obs::StageKind::kPredicateFilter,
                       predicate.attr + "=" + predicate.value);
   span.SetCardinalityIn(in.size());
+  const uint32_t value = store_->FindValue(predicate.value);
+  std::vector<uint32_t> ids =
+      ValueIds(in, store_->FindAttrName(predicate.attr));
   Binding out;
   out.reserve(in.size());
-  for (const LabelEntry& e : in) {
-    const std::string* v = store_->AttrValue(e.elem, predicate.attr, snapshot_);
-    if (v != nullptr && *v == predicate.value) out.push_back(e);
+  for (size_t i = 0; i < in.size(); ++i) {
+    if (value != UINT32_MAX && ids[i] == value) out.push_back(in[i]);
   }
   span.SetCardinalityOut(out.size());
   return out;
@@ -144,143 +213,37 @@ Executor::Binding Executor::CrossTo(const Binding& in,
   return out;
 }
 
-Executor::Binding Executor::EvalEdge(const EdgePlan& edge,
-                                     const PatternNode& node,
-                                     Binding* parent,
-                                     mct::ColorId* parent_color,
-                                     bool reduce_parent,
-                                     mct::ColorId* out_color) {
+Executor::Stage Executor::EvalEdge(const EdgePlan& edge,
+                                   const PatternNode& node,
+                                   const Stage& parent,
+                                   std::vector<Stage>* upper) {
   const er::ErDiagram& diagram = store_->schema().diagram();
   const auto& path = node.path_from_parent;
-
-  // Intermediate bindings per path position, for the backward reduction.
-  struct Stage {
-    Binding binding;
-    mct::ColorId color = 0;
-    bool structural = false;
-  };
-  std::vector<Stage> stages;  // one entry PER SEGMENT BOUNDARY (start incl.)
-
-  Binding current = *parent;
-  mct::ColorId current_color = *parent_color;
-  stages.push_back({current, current_color, false});
-
+  Stage current = parent;
   for (const Segment& seg : edge.segments) {
+    if (upper != nullptr) upper->push_back(current);
     if (seg.kind == SegmentKind::kValueJoin) {
-      const er::ErEdge& e = store_->schema().graph().edge(seg.ref_edge);
       er::NodeId from_type = path[seg.from_index];
       er::NodeId to_type = path[seg.to_index];
       obs::SpanScope span(stats_, obs::StageKind::kValueJoin,
                           diagram.node(from_type).name + "~" +
                               diagram.node(to_type).name);
-      span.SetCardinalityIn(current.size());
-      // The rel side holds the "<target>_idref" attribute.
-      std::string idref_attr = diagram.node(e.node).name + "_idref";
-      // Value joins only arise in single-color schemas; the probe/build
-      // side is scanned wherever the tag lives (color 0).
-      mct::ColorId c = 0;
-      Binding next;
-      if (mode_ == ExecMode::kBatched) {
-        // Dictionary-id hash join. Build and probe sides mirror the
-        // string join below (build over the scanned to_type side, probe
-        // in `current` order, dedup by element), but both sides resolve
-        // their join attribute to interned value ids up front, so the
-        // hash table keys on uint32 — no per-element string hashing.
-        auto ids_of = [&](const Binding& b, std::string_view attr) {
-          std::vector<uint32_t> ids(b.size(), UINT32_MAX);
-          uint32_t name_id = store_->FindAttrName(attr);
-          if (name_id == UINT32_MAX) return ids;
-          for (size_t i = 0; i < b.size(); ++i) {
-            ids[i] = store_->AttrValueId(b[i].elem, name_id, snapshot_);
-          }
-          return ids;
-        };
-        const bool rel_to_endpoint = from_type == e.rel;
-        const std::string* key_attr =
-            KeyAttrName(diagram, rel_to_endpoint ? to_type : from_type);
-        MCTDB_CHECK(key_attr != nullptr);
-        Binding scanned = ScanTag(c, to_type, nullptr);
-        std::vector<uint32_t> build_ids =
-            ids_of(scanned, rel_to_endpoint ? std::string_view(*key_attr)
-                                            : std::string_view(idref_attr));
-        std::vector<uint32_t> probe_ids =
-            ids_of(current, rel_to_endpoint ? std::string_view(idref_attr)
-                                            : std::string_view(*key_attr));
-        // Hash only the (typically far smaller) probe side; one
-        // membership pass over the scanned side then selects the result
-        // set — no per-key bucket vectors, and order is irrelevant here
-        // because the join sorts by start below.
-        std::unordered_set<uint32_t> probe_set;
-        probe_set.reserve(probe_ids.size());
-        for (uint32_t pid : probe_ids) {
-          if (pid != UINT32_MAX) probe_set.insert(pid);
-        }
-        std::unordered_set<ElemId> taken;
-        for (size_t i = 0; i < scanned.size(); ++i) {
-          if (build_ids[i] == UINT32_MAX || probe_set.count(build_ids[i]) == 0)
-            continue;
-          if (taken.insert(scanned[i].elem).second) {
-            next.push_back(scanned[i]);
-          }
-        }
-      } else if (from_type == e.rel) {
-        // rel -> endpoint: build hash endpoint-key -> entries, probe with
-        // idref values.
-        const std::string* key_attr = KeyAttrName(diagram, to_type);
-        MCTDB_CHECK(key_attr != nullptr);
-        Binding endpoints = ScanTag(c, to_type, nullptr);
-        std::unordered_map<std::string, std::vector<size_t>> by_key;
-        for (size_t i = 0; i < endpoints.size(); ++i) {
-          const std::string* k =
-              store_->AttrValue(endpoints[i].elem, *key_attr, snapshot_);
-          if (k != nullptr) by_key[*k].push_back(i);
-        }
-        std::unordered_set<ElemId> taken;
-        for (const LabelEntry& relem : current) {
-          const std::string* ref =
-              store_->AttrValue(relem.elem, idref_attr, snapshot_);
-          if (ref == nullptr) continue;
-          auto hit = by_key.find(*ref);
-          if (hit == by_key.end()) continue;
-          for (size_t i : hit->second) {
-            if (taken.insert(endpoints[i].elem).second) {
-              next.push_back(endpoints[i]);
-            }
-          }
-        }
-      } else {
-        // endpoint -> rel: build hash over rel idrefs, probe with endpoint
-        // keys.
-        const std::string* key_attr = KeyAttrName(diagram, from_type);
-        MCTDB_CHECK(key_attr != nullptr);
-        Binding rels = ScanTag(c, to_type, nullptr);
-        std::unordered_map<std::string, std::vector<size_t>> by_ref;
-        for (size_t i = 0; i < rels.size(); ++i) {
-          const std::string* ref = store_->AttrValue(rels[i].elem, idref_attr, snapshot_);
-          if (ref != nullptr) by_ref[*ref].push_back(i);
-        }
-        std::unordered_set<ElemId> taken;
-        for (const LabelEntry& elem : current) {
-          const std::string* k = store_->AttrValue(elem.elem, *key_attr, snapshot_);
-          if (k == nullptr) continue;
-          auto hit = by_ref.find(*k);
-          if (hit == by_ref.end()) continue;
-          for (size_t i : hit->second) {
-            if (taken.insert(rels[i].elem).second) next.push_back(rels[i]);
-          }
-        }
-      }
+      span.SetCardinalityIn(current.binding.size());
+      const JoinAttrs attrs = ValueJoinAttrs(store_->schema(), seg, path);
+      // Value joins only arise in single-color schemas; the to-type side
+      // is scanned wherever the tag lives (color 0).
+      Binding scanned = ScanTag(0, to_type, nullptr);
+      Binding next =
+          ValueSemiJoin(scanned, attrs.lower, current.binding, attrs.upper);
       SortByStart(&next);
       span.SetCardinalityOut(next.size());
-      current = std::move(next);
-      current_color = c;
-      stages.push_back({current, current_color, false});
+      current = {std::move(next), 0};
       continue;
     }
 
     // Structural segment: cross into the segment color first.
-    current = CrossTo(current, current_color, seg.color);
-    current_color = seg.color;
+    current.binding = CrossTo(current.binding, current.color, seg.color);
+    current.color = seg.color;
     size_t steps = seg.kind == SegmentKind::kAncDesc
                        ? 1
                        : seg.to_index - seg.from_index;
@@ -292,175 +255,103 @@ Executor::Binding Executor::EvalEdge(const EdgePlan& edge,
       obs::SpanScope span(stats_, obs::StageKind::kStructuralJoin,
                           diagram.node(next_type).name + "@c" +
                               std::to_string(seg.color));
-      span.SetCardinalityIn(current.size());
+      span.SetCardinalityIn(current.binding.size());
+      if (current.binding.empty()) {
+        // An empty side joins to nothing; skip the candidate scan — the
+        // result is identical with zero I/O.
+        span.SetCardinalityOut(0);
+        continue;
+      }
       StructuralJoinOptions opts;
       opts.parent_child_only =
           seg.kind == SegmentKind::kStepChain ||
           (seg.to_index - seg.from_index) == 1;
-      if (mode_ == ExecMode::kBatched) {
-        if (current.empty()) {
-          // An empty side joins to nothing; skip the candidate scan — the
-          // result is identical with zero I/O.
-          span.SetCardinalityOut(0);
-          continue;
-        }
-        // Index-assisted bounds: necessary conditions on a candidate's
-        // label for it to appear in ANY containment pair with `current`,
-        // derived from the current side's extremes. The cursor uses them
-        // only to skip whole ruled-out pages, so results are unchanged.
-        storage::ScanBounds bounds;
-        if (!seg.reversed) {
-          // Candidate descendants: start must fall strictly inside some
-          // ancestor, so start > min(anc.start) and start < max(anc.end).
-          uint32_t min_start = UINT32_MAX;
-          uint32_t max_end = 0;
-          for (const LabelEntry& e : current) {
-            if (e.start < min_start) min_start = e.start;
-            if (e.end > max_end) max_end = e.end;
-          }
-          bounds.start_gt = min_start;
-          bounds.start_lt = max_end;
-        } else {
-          // Candidate ancestors: must open before some descendant and
-          // close at or after its end, so start < max(desc.start) and
-          // end >= min(desc.end).
-          uint32_t max_start = 0;
-          uint32_t min_end = UINT32_MAX;
-          for (const LabelEntry& e : current) {
-            if (e.start > max_start) max_start = e.start;
-            if (e.end < min_end) min_end = e.end;
-          }
-          bounds.start_lt = max_start;
-          bounds.end_gt = min_end == 0 ? 0 : min_end - 1;
-        }
-        // The candidate ScanTag nests as a child span of this join.
-        Binding candidates = ScanTag(seg.color, next_type, nullptr, &bounds);
-        StructuralJoinResult joined;
-        if (!seg.reversed) {
-          joined = StackTreeJoinBlocked(current, candidates, opts);
-          current = std::move(joined.descendants);
-        } else {
-          joined = StackTreeJoinBlocked(candidates, current, opts);
-          current = std::move(joined.ancestors);
-        }
-        span.AddJoinPairs(joined.pairs);
-        span.SetCardinalityOut(current.size());
-        continue;
-      }
+      const storage::ScanBounds bounds =
+          CandidateBounds(current.binding, seg.reversed);
       // The candidate ScanTag nests as a child span of this join.
-      Binding candidates = ScanTag(seg.color, next_type, nullptr);
+      Binding candidates = ScanTag(seg.color, next_type, nullptr, &bounds);
       StructuralJoinResult joined;
       if (!seg.reversed) {
-        joined = StackTreeJoin(current, candidates, opts);
-        current = std::move(joined.descendants);
+        joined = StackTreeJoin(current.binding, candidates, opts);
+        current.binding = std::move(joined.descendants);
       } else {
-        joined = StackTreeJoin(candidates, current, opts);
-        current = std::move(joined.ancestors);
+        joined = StackTreeJoin(candidates, current.binding, opts);
+        current.binding = std::move(joined.ancestors);
       }
       span.AddJoinPairs(joined.pairs);
-      span.SetCardinalityOut(current.size());
+      span.SetCardinalityOut(current.binding.size());
     }
-    stages.push_back({current, current_color, true});
   }
 
-  // Child predicate.
   if (node.predicate.has_value()) {
-    current = FilterPredicate(std::move(current), *node.predicate);
+    current.binding =
+        FilterPredicate(std::move(current.binding), *node.predicate);
   }
-
-  if (reduce_parent && !current.empty()) {
-    obs::SpanScope span(stats_, obs::StageKind::kBackwardReduction,
-                        diagram.node(node.er_node).name);
-    span.SetCardinalityIn(parent->size());
-    // Walk the segments backward, reducing each stage to members that
-    // reach the surviving children; the final stage reduces *parent.
-    Binding survivors = current;
-    mct::ColorId survivor_color = current_color;
-    for (size_t si = edge.segments.size(); si-- > 0;) {
-      const Segment& seg = edge.segments[si];
-      Binding& upper = stages[si].binding;
-      mct::ColorId upper_color = stages[si].color;
-      if (seg.kind == SegmentKind::kValueJoin) {
-        // Reverse the value join: survivors' keys/refs back to upper.
-        const er::ErEdge& e = store_->schema().graph().edge(seg.ref_edge);
-        std::string idref_attr = diagram.node(e.node).name + "_idref";
-        er::NodeId from_type = path[seg.from_index];
-        Binding reduced;
-        if (from_type == e.rel) {
-          // upper = rel side; survivor keys identify endpoints.
-          const std::string* key_attr =
-              KeyAttrName(diagram, path[seg.to_index]);
-          std::unordered_set<std::string> keys;
-          for (const LabelEntry& s : survivors) {
-            const std::string* k = store_->AttrValue(s.elem, *key_attr, snapshot_);
-            if (k != nullptr) keys.insert(*k);
-          }
-          for (const LabelEntry& u : upper) {
-            const std::string* ref = store_->AttrValue(u.elem, idref_attr, snapshot_);
-            if (ref != nullptr && keys.count(*ref)) reduced.push_back(u);
-          }
-        } else {
-          const std::string* key_attr =
-              KeyAttrName(diagram, path[seg.from_index]);
-          std::unordered_set<std::string> refs;
-          for (const LabelEntry& s : survivors) {
-            const std::string* r = store_->AttrValue(s.elem, idref_attr, snapshot_);
-            if (r != nullptr) refs.insert(*r);
-          }
-          for (const LabelEntry& u : upper) {
-            const std::string* k = store_->AttrValue(u.elem, *key_attr, snapshot_);
-            if (k != nullptr && refs.count(*k)) reduced.push_back(u);
-          }
-        }
-        survivors = std::move(reduced);
-        survivor_color = upper_color;
-        continue;
-      }
-      // Structural: join upper (crossed into the segment color) against
-      // survivors and keep the matched side.
-      Binding upper_in_color = CrossTo(upper, upper_color, seg.color);
-      Binding surv_in_color = CrossTo(survivors, survivor_color, seg.color);
-      SortByStart(&upper_in_color);
-      SortByStart(&surv_in_color);
-      StructuralJoinOptions opts;  // a-d suffices for reduction
-      const bool blocked = mode_ == ExecMode::kBatched;
-      StructuralJoinResult joined;
-      if (!seg.reversed) {
-        joined = blocked ? StackTreeJoinBlocked(upper_in_color, surv_in_color,
-                                                opts)
-                         : StackTreeJoin(upper_in_color, surv_in_color, opts);
-        survivors = std::move(joined.ancestors);
-      } else {
-        joined = blocked ? StackTreeJoinBlocked(surv_in_color, upper_in_color,
-                                                opts)
-                         : StackTreeJoin(surv_in_color, upper_in_color, opts);
-        survivors = std::move(joined.descendants);
-      }
-      span.AddJoinPairs(joined.pairs);
-      survivor_color = seg.color;
-    }
-    // Map survivors back to the parent's identity set BY LOGICAL INSTANCE:
-    // in a redundant schema the filter branch may have matched one stored
-    // copy of the parent while the output branch navigates another, and
-    // the semantics of the filter is about the logical node.
-    std::unordered_set<uint64_t> keep;
-    auto logical_key = [&](ElemId elem) {
-      const storage::ElementMeta& meta = store_->element(elem);
-      return (uint64_t(meta.er_node) << 32) | meta.logical;
-    };
-    for (const LabelEntry& e : survivors) keep.insert(logical_key(e.elem));
-    Binding reduced_parent;
-    for (const LabelEntry& e : *parent) {
-      if (keep.count(logical_key(e.elem))) reduced_parent.push_back(e);
-    }
-    span.SetCardinalityOut(reduced_parent.size());
-    *parent = std::move(reduced_parent);
-  } else if (reduce_parent) {
-    parent->clear();
-  }
-
-  *out_color = current_color;
   return current;
+}
+
+void Executor::ReduceParent(const EdgePlan& edge, const PatternNode& node,
+                            const std::vector<Stage>& upper,
+                            const Stage& child, Binding* parent) {
+  if (child.binding.empty()) {
+    parent->clear();
+    return;
+  }
+  const er::ErDiagram& diagram = store_->schema().diagram();
+  const auto& path = node.path_from_parent;
+  obs::SpanScope span(stats_, obs::StageKind::kBackwardReduction,
+                      diagram.node(node.er_node).name);
+  span.SetCardinalityIn(parent->size());
+  // Walk the segments backward, reducing each upper binding to members
+  // that reach the surviving children.
+  Stage survivors = child;
+  for (size_t si = edge.segments.size(); si-- > 0;) {
+    const Segment& seg = edge.segments[si];
+    const Stage& up = upper[si];
+    if (seg.kind == SegmentKind::kValueJoin) {
+      const JoinAttrs attrs = ValueJoinAttrs(store_->schema(), seg, path);
+      survivors = {ValueSemiJoin(up.binding, attrs.upper, survivors.binding,
+                                 attrs.lower),
+                   up.color};
+      continue;
+    }
+    // Structural: join the upper binding (crossed into the segment color)
+    // against the survivors and keep the matched side.
+    Binding upper_in_color = CrossTo(up.binding, up.color, seg.color);
+    Binding surv_in_color =
+        CrossTo(survivors.binding, survivors.color, seg.color);
+    SortByStart(&upper_in_color);
+    SortByStart(&surv_in_color);
+    StructuralJoinOptions opts;  // a-d suffices for reduction
+    StructuralJoinResult joined;
+    if (!seg.reversed) {
+      joined = StackTreeJoin(upper_in_color, surv_in_color, opts);
+      survivors.binding = std::move(joined.ancestors);
+    } else {
+      joined = StackTreeJoin(surv_in_color, upper_in_color, opts);
+      survivors.binding = std::move(joined.descendants);
+    }
+    span.AddJoinPairs(joined.pairs);
+    survivors.color = seg.color;
+  }
+  // Map survivors back to the parent's identity set BY LOGICAL INSTANCE:
+  // in a redundant schema the filter branch may have matched one stored
+  // copy of the parent while the output branch navigates another, and
+  // the semantics of the filter is about the logical node.
+  std::unordered_set<uint64_t> keep;
+  auto logical_key = [&](ElemId elem) {
+    const storage::ElementMeta& meta = store_->element(elem);
+    return (uint64_t(meta.er_node) << 32) | meta.logical;
+  };
+  for (const LabelEntry& e : survivors.binding) {
+    keep.insert(logical_key(e.elem));
+  }
+  Binding reduced_parent;
+  for (const LabelEntry& e : *parent) {
+    if (keep.count(logical_key(e.elem))) reduced_parent.push_back(e);
+  }
+  span.SetCardinalityOut(reduced_parent.size());
+  *parent = std::move(reduced_parent);
 }
 
 Result<ExecResult> Executor::Execute(const QueryPlan& plan) {
@@ -494,9 +385,7 @@ Result<ExecResult> Executor::Execute(const QueryPlan& plan) {
   }
 
   const size_t n = query.nodes.size();
-  std::vector<Binding> bindings(n);
-  std::vector<mct::ColorId> colors(n, 0);
-  std::vector<bool> evaluated(n, false);
+  std::vector<Stage> at(n);  // each pattern node's binding and color
 
   // Spine: root .. output.
   std::vector<bool> on_spine(n, false);
@@ -508,9 +397,8 @@ Result<ExecResult> Executor::Execute(const QueryPlan& plan) {
   const PatternNode& root = query.nodes[0];
   const AttrPredicate* root_pred =
       root.predicate.has_value() ? &*root.predicate : nullptr;
-  bindings[0] = ScanTag(plan.anchor_color, root.er_node, root_pred);
-  colors[0] = plan.anchor_color;
-  evaluated[0] = true;
+  at[0] = {ScanTag(plan.anchor_color, root.er_node, root_pred),
+           plan.anchor_color};
   if (!failure_.ok()) {
     stats_ = nullptr;
     return failure_;
@@ -532,45 +420,36 @@ Result<ExecResult> Executor::Execute(const QueryPlan& plan) {
   std::vector<const EdgePlan*> edge_of(n, nullptr);
   for (const EdgePlan& e : plan.edges) edge_of[e.pattern_node] = &e;
 
-  // Depth-first evaluation; non-spine children reduce their parent.
-  std::vector<int> order;
-  std::vector<int> stack{0};
-  while (!stack.empty()) {
-    int u = stack.back();
-    stack.pop_back();
-    order.push_back(u);
-    for (auto it = children[u].rbegin(); it != children[u].rend(); ++it) {
-      stack.push_back(*it);
+  // Depth-first evaluation. A filter (non-spine) child reduces its parent
+  // only after its own subtree has reduced it, so the predicate of a
+  // filter nested under a filter reaches every node above it; and since
+  // filters come first, a spine child starts from its fully reduced parent.
+  auto visit = [&](auto& self, int p) -> Status {
+    for (int u : children[p]) {
+      const PatternNode& node = query.nodes[u];
+      if (edge_of[u] == nullptr) {
+        return Status::InvalidArgument(
+            "plan has no edge for pattern node " + std::to_string(u) + " (" +
+            store_->schema().diagram().node(node.er_node).name + ")");
+      }
+      const bool filter = !on_spine[u];
+      std::vector<Stage> upper;
+      at[u] = EvalEdge(*edge_of[u], node, at[p], filter ? &upper : nullptr);
+      if (!failure_.ok()) return failure_;
+      MCTDB_RETURN_IF_ERROR(self(self, u));
+      if (filter) {
+        ReduceParent(*edge_of[u], node, upper, at[u], &at[p].binding);
+      }
     }
-  }
-  for (int u : order) {
-    if (u == 0) continue;
-    const PatternNode& node = query.nodes[u];
-    if (edge_of[u] == nullptr) {
-      stats_ = nullptr;
-      return Status::InvalidArgument(
-          "plan has no edge for pattern node " + std::to_string(u) + " (" +
-          store_->schema().diagram().node(node.er_node).name + ")");
-    }
-    int p = node.parent;
-    MCTDB_CHECK(evaluated[p]);
-    mct::ColorId out_color = colors[p];
-    bool reduce = !on_spine[u];
-    bindings[u] = EvalEdge(*edge_of[u], node, &bindings[p], &colors[p],
-                           reduce, &out_color);
-    colors[u] = out_color;
-    evaluated[u] = true;
-    if (!failure_.ok()) {
-      stats_ = nullptr;
-      return failure_;
-    }
+    return Status::OK();
+  };
+  if (Status s = visit(visit, 0); !s.ok()) {
+    stats_ = nullptr;
+    return s;
   }
 
-  // If filter branches reduced ancestors of the output AFTER the output's
-  // branch ran, the query's edge ordering was wrong; queries are declared
-  // filters-first, and the DFS respects it, so the output binding is final.
   ExecResult result;
-  const Binding& out_binding = bindings[query.output];
+  const Binding& out_binding = at[query.output].binding;
   result.raw_count = out_binding.size();
   {
     obs::SpanScope span(

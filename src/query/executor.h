@@ -3,20 +3,23 @@
 // Evaluation is binding-set based (TIMBER-style twig evaluation): the
 // anchor tag is scanned in the plan's anchor color, then each pattern edge
 // is evaluated segment by segment — stack-tree structural joins for
-// structural segments, hash joins on id/idref values for value segments,
-// logical-identity re-anchoring for color crossings. Filter branches (below
-// pattern nodes off the root-to-output spine) reduce their parent binding
-// by joining back up, so every schema returns the same logical result set.
+// structural segments, semi-joins on interned id/idref value ids for value
+// segments, logical-identity re-anchoring for color crossings. Filter
+// branches (below pattern nodes off the root-to-output spine) reduce their
+// parent binding by joining back up, innermost filter first, so every
+// schema returns the same logical result set.
 //
-// Costs are real: posting scans go through the buffer pool, value joins
-// build their hash table from a full scan of the build side, and updates
-// rewrite every redundant copy. Every page fetch is charged to THIS
-// query's obs::ExecStats at the point of the fetch (see obs/exec_stats.h),
-// so the hit/miss counts in ExecResult are exact per query even when many
-// executors share one pool — never a diff of pool-global counters.
+// Costs are real: posting scans go through the buffer pool a page span at
+// a time (skipping pages the posting index rules out), value joins scan
+// their whole build side, and updates rewrite every redundant copy. Every
+// page fetch is charged to THIS query's obs::ExecStats at the point of the
+// fetch (see obs/exec_stats.h), so the hit/miss counts in ExecResult are
+// exact per query even when many executors share one pool — never a diff
+// of pool-global counters.
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,13 +65,6 @@ struct ExecResult {
   obs::Span trace;
 };
 
-/// How the executor consumes posting lists and feeds structural joins.
-/// kBatched is the production path: page-at-a-time spans, SoA block joins,
-/// and index-assisted scan bounds. kTuple is the original entry-at-a-time
-/// path, kept behind this flag for one release as the equivalence oracle
-/// (the grid test drives every query through both and compares bytes).
-enum class ExecMode { kBatched, kTuple };
-
 class Executor {
  public:
   /// Runs against the store's own one-shard pool by default; many
@@ -88,11 +84,6 @@ class Executor {
   void set_snapshot(Lsn snapshot) { snapshot_ = snapshot; }
   Lsn snapshot() const { return snapshot_; }
 
-  /// Selects the scan/join implementation; see ExecMode. Serial results
-  /// are byte-identical across modes — only I/O and CPU differ.
-  void set_mode(ExecMode mode) { mode_ = mode; }
-  ExecMode mode() const { return mode_; }
-
   /// Returns InvalidArgument (instead of crashing) when the plan is
   /// malformed: no query attached, or a non-root pattern node without an
   /// edge plan. Returns DataLoss when a posting page could not be read
@@ -102,32 +93,53 @@ class Executor {
 
  private:
   using Binding = std::vector<storage::LabelEntry>;
+  /// A binding and the color it is labeled in.
+  struct Stage {
+    Binding binding;
+    mct::ColorId color = 0;
+  };
 
-  /// Scan a tag's posting list in a color, optionally filtering by an
-  /// attribute predicate. `bounds` (batched mode only) installs
-  /// index-assisted page-skip hints on the base cursor; they are
-  /// necessary conditions for joining, so skipped entries can never
-  /// appear in a result.
+  /// Scan a tag's posting list in a color a page span at a time,
+  /// optionally filtering by an attribute predicate. `bounds` installs
+  /// index-assisted page-skip hints on the base cursor; they are necessary
+  /// conditions for joining, so skipped entries can never appear in a
+  /// result.
   Binding ScanTag(mct::ColorId color, er::NodeId tag,
                   const AttrPredicate* predicate,
                   const storage::ScanBounds* bounds = nullptr);
+  /// The dictionary id of each entry's value for attribute `name_id`
+  /// (MctStore::FindAttrName), UINT32_MAX where the entry has none. The
+  /// one value compare of the executor: ids are equal iff the interned
+  /// strings are.
+  std::vector<uint32_t> ValueIds(std::span<const storage::LabelEntry> entries,
+                                 uint32_t name_id) const;
+  /// The members of `keep` whose `keep_attr` value equals the
+  /// `probe_attr` value of some member of `probe`, in `keep` order: one
+  /// id/idref value join, run forward or backward.
+  Binding ValueSemiJoin(const Binding& keep, std::string_view keep_attr,
+                        const Binding& probe, std::string_view probe_attr);
   Binding FilterPredicate(Binding in, const AttrPredicate& predicate);
   /// Re-anchor a binding into `color` via shared node identity (the color
   /// crossing primitive).
   Binding CrossTo(const Binding& in, mct::ColorId from_color,
                   mct::ColorId color);
 
-  /// Evaluate one edge: parent binding (labeled in `parent_color`) to child
-  /// binding. When `reduce_parent`, also shrink *parent to members with at
-  /// least one match (filter-branch semantics).
-  Binding EvalEdge(const EdgePlan& edge, const PatternNode& node,
-                   Binding* parent, mct::ColorId* parent_color,
-                   bool reduce_parent, mct::ColorId* out_color);
+  /// Evaluate one edge forward: the parent binding (labeled in
+  /// `parent.color`) to the child binding, with the child's predicate
+  /// applied. When `upper` is given it receives the binding in front of
+  /// each segment, for ReduceParent.
+  Stage EvalEdge(const EdgePlan& edge, const PatternNode& node,
+                 const Stage& parent, std::vector<Stage>* upper);
+  /// Filter-branch semantics: shrink *parent to the members whose logical
+  /// instance reaches a member of `child` along the edge, walking the
+  /// segments backward over the `upper` bindings EvalEdge recorded.
+  void ReduceParent(const EdgePlan& edge, const PatternNode& node,
+                    const std::vector<Stage>& upper, const Stage& child,
+                    Binding* parent);
 
   storage::MctStore* store_;
   storage::ShardedBufferPool* pool_;
   Lsn snapshot_ = kMaxLsn;
-  ExecMode mode_ = ExecMode::kBatched;
   /// The running query's attribution context; set for the duration of
   /// Execute so the operators (and their posting cursors) charge spans and
   /// page fetches to it.

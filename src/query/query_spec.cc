@@ -50,8 +50,8 @@ QueryBuilder& QueryBuilder::Distinct() {
   return *this;
 }
 
-QueryBuilder& QueryBuilder::GroupBy(int node, std::string_view attr) {
-  query_.group_by = GroupBySpec{node, std::string(attr)};
+QueryBuilder& QueryBuilder::GroupBy(std::string_view attr) {
+  query_.group_by = GroupBySpec{std::string(attr)};
   return *this;
 }
 
@@ -98,8 +98,6 @@ std::string CanonicalQueryText(const AssociationQuery& query) {
   if (query.distinct) out += ";distinct";
   if (query.group_by.has_value()) {
     out += ";group=";
-    out += std::to_string(query.group_by->node);
-    out += ',';
     str(query.group_by->attr);
   }
   if (query.update.has_value()) {

@@ -35,9 +35,9 @@ struct PatternNode {
   std::optional<AttrPredicate> predicate;
 };
 
+/// Groups the output node's logical instances by one attribute value.
 struct GroupBySpec {
-  int node = 0;        ///< pattern node index grouped on
-  std::string attr;    ///< grouping attribute
+  std::string attr;  ///< grouping attribute of the output node
 };
 
 struct UpdateSpec {
@@ -82,7 +82,8 @@ class QueryBuilder {
   QueryBuilder& Where(int node, std::string_view attr, std::string_view value);
   QueryBuilder& Output(int node);
   QueryBuilder& Distinct();
-  QueryBuilder& GroupBy(int node, std::string_view attr);
+  /// Groups the output node (the one set by Output, or the last added).
+  QueryBuilder& GroupBy(std::string_view attr);
   QueryBuilder& Update(std::string_view attr, std::string_view value);
 
   AssociationQuery Build() const { return query_; }

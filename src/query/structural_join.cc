@@ -63,89 +63,4 @@ StructuralJoinResult StackTreeJoin(
   return out;
 }
 
-StructuralJoinResult StackTreeJoinBlocked(
-    const std::vector<storage::LabelEntry>& ancestors,
-    const std::vector<storage::LabelEntry>& descendants,
-    const StructuralJoinOptions& options) {
-  StructuralJoinResult out;
-  std::vector<storage::LabelEntry> stack;
-  std::vector<bool> stack_matched;
-
-  // Both sides decode into SoA blocks; the merge loop below touches only
-  // the start/end/level columns, reassembling whole entries only when one
-  // is pushed on the stack or emitted.
-  storage::LabelBlock anc;
-  size_t anc_consumed = 0;  ///< entries already decoded into `anc`
-  size_t ai = 0;            ///< cursor within `anc`
-  auto refill_anc = [&]() {
-    size_t n = ancestors.size() - anc_consumed;
-    if (n > storage::LabelBlock::kCapacity) n = storage::LabelBlock::kCapacity;
-    anc.Fill(ancestors.data() + anc_consumed, n);
-    anc_consumed += n;
-    ai = 0;
-  };
-  refill_anc();
-
-  auto pop_closed = [&](uint32_t before_start) {
-    while (!stack.empty() && stack.back().end < before_start) {
-      if (stack_matched.back()) out.ancestors.push_back(stack.back());
-      stack.pop_back();
-      stack_matched.pop_back();
-    }
-  };
-
-  storage::LabelBlock desc;
-  size_t desc_consumed = 0;
-  while (desc_consumed < descendants.size()) {
-    size_t n = descendants.size() - desc_consumed;
-    if (n > storage::LabelBlock::kCapacity) n = storage::LabelBlock::kCapacity;
-    desc.Fill(descendants.data() + desc_consumed, n);
-    desc_consumed += n;
-    for (size_t di = 0; di < desc.size; ++di) {
-      const uint32_t d_start = desc.start[di];
-      const uint32_t d_end = desc.end[di];
-      const uint16_t d_level = desc.level[di];
-      // Open every ancestor starting before this descendant.
-      for (;;) {
-        if (ai == anc.size) {
-          if (anc_consumed >= ancestors.size()) break;
-          refill_anc();
-        }
-        if (anc.start[ai] >= d_start) break;
-        pop_closed(anc.start[ai]);
-        stack.push_back(anc.Get(ai));
-        stack_matched.push_back(false);
-        ++ai;
-      }
-      pop_closed(d_start);
-      bool matched = false;
-      for (size_t s = 0; s < stack.size(); ++s) {
-        if (stack[s].end < d_end) continue;  // not containing (sibling zone)
-        if (options.parent_child_only && d_level != stack[s].level + 1) {
-          continue;
-        }
-        ++out.pairs;
-        matched = true;
-        stack_matched[s] = true;
-        if (!options.parent_child_only) {
-          for (size_t t = s + 1; t < stack.size(); ++t) {
-            if (stack[t].end > d_end) {
-              ++out.pairs;
-              stack_matched[t] = true;
-            }
-          }
-          break;
-        }
-      }
-      if (matched) out.descendants.push_back(desc.Get(di));
-    }
-  }
-  pop_closed(UINT32_MAX);
-  std::sort(out.ancestors.begin(), out.ancestors.end(),
-            [](const storage::LabelEntry& a, const storage::LabelEntry& b) {
-              return a.start < b.start;
-            });
-  return out;
-}
-
 }  // namespace mctdb::query

@@ -35,15 +35,4 @@ StructuralJoinResult StackTreeJoin(
     const std::vector<storage::LabelEntry>& descendants,
     const StructuralJoinOptions& options = {});
 
-/// Block-at-a-time variant: consumes both inputs through cache-resident
-/// storage::LabelBlock columns (start/end/level decoded a page's worth at
-/// a time) so the merge loop runs over flat arrays instead of striding
-/// 20-byte records. Byte-identical to StackTreeJoin — same outputs, same
-/// order, same pair count — by construction; the equivalence suite pins
-/// this across the query grid.
-StructuralJoinResult StackTreeJoinBlocked(
-    const std::vector<storage::LabelEntry>& ancestors,
-    const std::vector<storage::LabelEntry>& descendants,
-    const StructuralJoinOptions& options = {});
-
 }  // namespace mctdb::query

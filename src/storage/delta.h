@@ -96,25 +96,22 @@ class StoreDeltas {
 
 /// Sequential merge of a base posting list with the snapshot-visible delta
 /// inserts of the same (color, tag), minus the placements deleted at or
-/// before the snapshot. Drop-in for PostingCursor on the executor's scan
-/// path: on an unversioned store it degenerates to the plain base cursor
-/// with one extra branch per Next.
+/// before the snapshot: the executor's scan path. On an unversioned store
+/// it forwards the plain base cursor's page spans.
 class MergedPostingCursor {
  public:
   MergedPostingCursor(ShardedBufferPool* pool, const MctStore& store,
                       mct::ColorId color, er::NodeId tag, Lsn snapshot,
                       obs::ExecStats* stats = nullptr);
 
-  /// False at end of merged list or on a base page fetch failure (latched
-  /// on status(), like PostingCursor).
-  bool Next(LabelEntry* out);
-  /// Block-at-a-time read. Fast path: while no snapshot-visible insert or
-  /// delete remains to merge, base page spans are forwarded zero-copy (on
-  /// a read-only store — or an untouched (color, tag) — every span is a
-  /// whole pinned page). Otherwise one block's worth of entries is merged
-  /// into an internal buffer and returned as a span over it. Spans stay
-  /// valid until the next cursor call; entries arrive in global start
-  /// order either way. Do not interleave with Next().
+  /// Block-at-a-time read; false at end of the merged list or on a base
+  /// page fetch failure (latched on status(), like PostingCursor). Fast
+  /// path: while no snapshot-visible insert or delete remains to merge,
+  /// base page spans are forwarded zero-copy (on a read-only store — or an
+  /// untouched (color, tag) — every span is a whole pinned page).
+  /// Otherwise one block's worth of entries is merged into an internal
+  /// buffer and returned as a span over it. Spans stay valid until the
+  /// next cursor call; entries arrive in global start order either way.
   bool NextSpan(const LabelEntry** data, size_t* count);
   /// Installs index-assisted bounds on the base scan (page-granular skip
   /// hints; see ScanBounds). Call before the first read. Delta inserts
@@ -127,6 +124,9 @@ class MergedPostingCursor {
   size_t upper_bound() const { return base_count_ + extra_.size(); }
 
  private:
+  /// One merged entry; NextSpan's merge path.
+  bool Next(LabelEntry* out);
+
   std::optional<PostingCursor> base_;
   size_t base_count_ = 0;
   /// Snapshot-visible inserts, start order.

@@ -193,47 +193,6 @@ class PostingCursor {
   Status status_;
 };
 
-/// A cache-resident column block of decoded interval labels in
-/// structure-of-arrays layout: the blocked joins stream their inputs
-/// through these, touching only the start/end/level columns on the
-/// comparison-heavy paths. Sized to one posting page (~8 KB of columns),
-/// so a block stays L1/L2 resident while a join works through it.
-struct LabelBlock {
-  static constexpr size_t kCapacity = kEntriesPerPage;
-  size_t size = 0;
-  uint32_t start[kCapacity];
-  uint32_t end[kCapacity];
-  uint16_t level[kCapacity];
-  ElemId elem[kCapacity];
-  uint16_t is_copy[kCapacity];
-  uint32_t logical[kCapacity];
-
-  void Clear() { size = 0; }
-  /// Decodes `n` consecutive entries (n <= kCapacity) into the columns.
-  void Fill(const LabelEntry* entries, size_t n) {
-    size = n;
-    for (size_t i = 0; i < n; ++i) {
-      start[i] = entries[i].start;
-      end[i] = entries[i].end;
-      level[i] = entries[i].level;
-      elem[i] = entries[i].elem;
-      is_copy[i] = entries[i].is_copy;
-      logical[i] = entries[i].logical;
-    }
-  }
-  /// Reassembles one row (for outputs that need the full record).
-  LabelEntry Get(size_t i) const {
-    LabelEntry e;
-    e.elem = elem[i];
-    e.start = start[i];
-    e.end = end[i];
-    e.level = level[i];
-    e.is_copy = is_copy[i];
-    e.logical = logical[i];
-    return e;
-  }
-};
-
 /// Reads a whole posting list into memory (through the pool), charging
 /// `stats` when given. A fetch failure mid-scan is reported through
 /// `out_status` (the returned vector holds the entries read so far); when

@@ -69,8 +69,8 @@ Workload DerbyWorkload() {
     QueryBuilder b("D7", d);
     int dep = b.Root("department");
     b.Where(dep, "name", "Kenya");
-    int s = b.Via(dep, {"dept_faculty", "professor", "advises", "student"});
-    b.GroupBy(s, "gpa");
+    b.Via(dep, {"dept_faculty", "professor", "advises", "student"});
+    b.GroupBy("gpa");
     w.queries.push_back(b.Build());
   }
   // D8: notes about students advised by one professor.
@@ -118,8 +118,8 @@ Workload DerbyWorkload() {
     QueryBuilder b("D12", d);
     int c = b.Root("college");
     b.Where(c, "name", "India");
-    int s = b.Via(c, {"stu_college", "student"});
-    b.GroupBy(s, "name");
+    b.Via(c, {"stu_college", "student"});
+    b.GroupBy("name");
     w.queries.push_back(b.Build());
   }
 

@@ -115,9 +115,8 @@ Workload TpcwWorkload(double scale) {
     QueryBuilder b("Q11", d);
     int country = b.Root("country");
     b.Where(country, "name", "Japan");
-    int o = b.Via(country,
-                  {"in", "address", "has", "customer", "make", "order"});
-    b.GroupBy(o, "status");
+    b.Via(country, {"in", "address", "has", "customer", "make", "order"});
+    b.GroupBy("status");
     w.queries.push_back(b.Build());
   }
   // Q12: the deepest chain, country down to order lines.

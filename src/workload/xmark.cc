@@ -214,8 +214,8 @@ Workload XmarkEmulatedWorkload(const er::ErDiagram& diagram) {
       if (attr == nullptr) continue;
       QueryBuilder b(qname(), d);
       int r = b.Root(d.node(p.source).name);
-      int out = b.Via(r, PathNames(d, p));
-      b.GroupBy(out, attr->name);
+      b.Via(r, PathNames(d, p));
+      b.GroupBy(attr->name);
       w.queries.push_back(b.Build());
       ++made;
     }

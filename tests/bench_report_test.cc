@@ -120,6 +120,52 @@ TEST(BenchGateTest, ExtraCounterIncreaseFails) {
             std::string::npos);
 }
 
+TEST(BenchGateTest, ExtraDecreaseFails) {
+  // Fewer results is a wrong answer, not an improvement.
+  BenchReport baseline = SampleReport();
+  BenchReport current = baseline;
+  current.records[0].extra[0].second = 0;
+  CheckOptions options;
+  options.strict_new_records = true;
+  CheckResult verdict = CheckAgainstBaseline(current, baseline, options);
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_NE(verdict.regressions[0].find("unique_results"),
+            std::string::npos);
+}
+
+TEST(BenchGateTest, MissingExtraFails) {
+  BenchReport baseline = SampleReport();
+  BenchReport current = baseline;
+  current.records[1].extra.clear();
+  CheckOptions options;
+  options.strict_new_records = true;
+  CheckResult verdict = CheckAgainstBaseline(current, baseline, options);
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_NE(verdict.regressions[0].find("DEEP"), std::string::npos);
+  EXPECT_NE(verdict.regressions[0].find("unique_results"),
+            std::string::npos);
+}
+
+TEST(BenchGateTest, ErrorExtraFails) {
+  // What a failed query records: an "error" extra, no result extras, and
+  // zero I/O and join pairs.
+  BenchReport baseline = SampleReport();
+  BenchReport current = baseline;
+  QueryRecord& failed = current.records[0];
+  failed.page_hits = failed.page_misses = failed.join_pairs = 0;
+  failed.extra.clear();
+  failed.Extra("error", 1);
+  CheckOptions options;
+  options.strict_new_records = true;
+  CheckResult verdict = CheckAgainstBaseline(current, baseline, options);
+  ASSERT_FALSE(verdict.ok());
+  bool names_error = false;
+  for (const std::string& line : verdict.regressions) {
+    names_error |= line.find("error") != std::string::npos;
+  }
+  EXPECT_TRUE(names_error);
+}
+
 TEST(BenchGateTest, CounterDecreaseIsANoteNotARegression) {
   BenchReport baseline = SampleReport();
   BenchReport current = baseline;

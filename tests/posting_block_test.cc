@@ -201,19 +201,5 @@ TEST(PostingBlockTest, ReadAllMaterializesWithOneExactReservation) {
   }
 }
 
-TEST(PostingBlockTest, LabelBlockRoundTripsEntries) {
-  std::vector<LabelEntry> entries = Siblings(123);
-  entries[7].is_copy = 1;
-  entries[9].level = 4;
-  LabelBlock block;
-  block.Fill(entries.data(), entries.size());
-  ASSERT_EQ(block.size, entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EXPECT_TRUE(Same(block.Get(i), entries[i])) << "entry " << i;
-  }
-  block.Clear();
-  EXPECT_EQ(block.size, 0u);
-}
-
 }  // namespace
 }  // namespace mctdb::storage

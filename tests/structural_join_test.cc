@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 namespace mctdb::query {
 namespace {
 
@@ -86,6 +88,93 @@ TEST(StructuralJoinTest, SemiJoinAncestorsDeduplicated) {
   auto r = StackTreeJoin(anc, desc);
   EXPECT_EQ(r.pairs, 3u);
   EXPECT_EQ(r.ancestors.size(), 1u);
+}
+
+/// A random forest labeled like one color of a store: a single counter
+/// (with random gaps) hands out every start and end in document order, so
+/// intervals are well nested and the list is sorted by start.
+void Grow(Rng* rng, uint16_t level, uint16_t max_depth, uint64_t max_fanout,
+          uint32_t* counter, std::vector<LabelEntry>* out) {
+  const size_t self = out->size();
+  *counter += 1 + uint32_t(rng->Uniform(3));
+  out->push_back(L(uint32_t(self), *counter, 0, level));
+  if (level < max_depth) {
+    for (uint64_t k = rng->Uniform(max_fanout + 1); k > 0; --k) {
+      Grow(rng, level + 1, max_depth, max_fanout, counter, out);
+    }
+  }
+  *counter += 1 + uint32_t(rng->Uniform(3));
+  (*out)[self].end = *counter;
+}
+
+/// Each entry kept with probability 1/keep_one_in; order is preserved.
+std::vector<LabelEntry> Subset(Rng* rng, const std::vector<LabelEntry>& all,
+                               uint64_t keep_one_in) {
+  std::vector<LabelEntry> out;
+  for (const LabelEntry& e : all) {
+    if (rng->OneIn(keep_one_in)) out.push_back(e);
+  }
+  return out;
+}
+
+/// The reference: every (ancestor, descendant) pair tested directly.
+StructuralJoinResult NestedLoopJoin(const std::vector<LabelEntry>& anc,
+                                    const std::vector<LabelEntry>& desc,
+                                    bool parent_child_only) {
+  StructuralJoinResult out;
+  std::vector<bool> matched_anc(anc.size(), false);
+  for (const LabelEntry& d : desc) {
+    bool matched = false;
+    for (size_t i = 0; i < anc.size(); ++i) {
+      if (!anc[i].Contains(d)) continue;
+      if (parent_child_only && d.level != anc[i].level + 1) continue;
+      ++out.pairs;
+      matched = true;
+      matched_anc[i] = true;
+    }
+    if (matched) out.descendants.push_back(d);
+  }
+  for (size_t i = 0; i < anc.size(); ++i) {
+    if (matched_anc[i]) out.ancestors.push_back(anc[i]);
+  }
+  return out;
+}
+
+std::vector<uint32_t> Elems(const std::vector<LabelEntry>& v) {
+  std::vector<uint32_t> out;
+  for (const LabelEntry& e : v) out.push_back(e.elem);
+  return out;
+}
+
+TEST(StructuralJoinTest, MatchesNestedLoopOnRandomForests) {
+  size_t cases = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const uint16_t max_depth = uint16_t(1 + rng.Uniform(7));
+    const uint64_t max_fanout = 1 + rng.Uniform(5);
+    std::vector<LabelEntry> forest;
+    uint32_t counter = 0;
+    for (uint64_t roots = 1 + rng.Uniform(4); roots > 0; --roots) {
+      Grow(&rng, 0, max_depth, max_fanout, &counter, &forest);
+    }
+    for (int draw = 0; draw < 5; ++draw) {
+      std::vector<LabelEntry> anc = Subset(&rng, forest, 1 + rng.Uniform(3));
+      std::vector<LabelEntry> desc = Subset(&rng, forest, 1 + rng.Uniform(3));
+      for (bool pc : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " draw " +
+                     std::to_string(draw) + (pc ? " parent-child" : ""));
+        StructuralJoinOptions opts;
+        opts.parent_child_only = pc;
+        StructuralJoinResult got = StackTreeJoin(anc, desc, opts);
+        StructuralJoinResult want = NestedLoopJoin(anc, desc, pc);
+        EXPECT_EQ(Elems(got.descendants), Elems(want.descendants));
+        EXPECT_EQ(Elems(got.ancestors), Elems(want.ancestors));
+        EXPECT_EQ(got.pairs, want.pairs);
+        if (want.pairs > 0) ++cases;
+      }
+    }
+  }
+  EXPECT_GT(cases, 200u) << "too few random cases produced any pair";
 }
 
 }  // namespace
