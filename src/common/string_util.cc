@@ -97,7 +97,9 @@ bool ParseUint64(std::string_view s, uint64_t* out) {
   uint64_t v = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (v > (UINT64_MAX - digit) / 10) return false;  // would wrap
+    v = v * 10 + digit;
   }
   *out = v;
   return true;

@@ -31,7 +31,8 @@ std::string EscapeXml(std::string_view s);
 /// Lowercase ASCII copy.
 std::string ToLower(std::string_view s);
 
-/// Parse a non-negative integer; returns false on any non-digit input.
+/// Parse a non-negative integer; returns false on any non-digit input and
+/// on a value above UINT64_MAX.
 bool ParseUint64(std::string_view s, uint64_t* out);
 
 }  // namespace mctdb

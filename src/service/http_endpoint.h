@@ -1,6 +1,7 @@
 // HttpEndpoint: a dependency-free blocking HTTP/1.0 server for the
-// observability surface (/metrics, /healthz, /slowlog, /tracez) plus
-// small POST control routes (`mctc serve` registers POST /update).
+// observability surface (/metrics, /metrics.json, /healthz, /slowlog,
+// /statusz, /flightz) plus small POST control routes (`mctc serve`
+// registers POST /update).
 //
 // Design constraints, in order:
 //   * zero dependencies — raw POSIX sockets, no event loop;

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/ordered_mutex.h"
+#include "obs/trace_export.h"
 
 namespace mctsvc {
 
@@ -21,20 +22,163 @@ std::string PromLabelEscape(std::string_view value) {
   return out;
 }
 
+namespace {
+
+/// The one number format both renderers share.
+std::string FormatValue(const MetricSample::Value& value) {
+  char buf[64];
+  if (const uint64_t* count = std::get_if<uint64_t>(&value)) {
+    std::snprintf(buf, sizeof(buf), "%llu",
+                  static_cast<unsigned long long>(*count));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.9f", std::get<double>(value));
+  }
+  return buf;
+}
+
+/// One row per ServiceMetrics counter or gauge, in /metrics order.
+struct CounterRow {
+  const char* name;
+  const char* type;
+  const char* help;
+  std::atomic<uint64_t> ServiceMetrics::*value;
+};
+
+constexpr CounterRow kCounters[] = {
+    {"mctsvc_requests_submitted_total", "counter",
+     "Requests admitted into the service", &ServiceMetrics::submitted},
+    {"mctsvc_requests_completed_total", "counter",
+     "Requests finished (including deadline cancellations)",
+     &ServiceMetrics::completed},
+    {"mctsvc_requests_rejected_total", "counter",
+     "Admission-queue overflow rejections", &ServiceMetrics::rejected},
+    {"mctsvc_sheds_total", "counter",
+     "Requests shed by the load-shedding admission controller",
+     &ServiceMetrics::sheds},
+    {"mctsvc_breaker_rejections_total", "counter",
+     "Requests refused by an open circuit breaker",
+     &ServiceMetrics::breaker_rejections},
+    {"mctsvc_invalid_plans_total", "counter",
+     "Plans rejected by the static verifier at admission",
+     &ServiceMetrics::invalid_plans},
+    {"mctsvc_deadline_exceeded_total", "counter",
+     "Requests cancelled at dequeue after their deadline passed",
+     &ServiceMetrics::deadline_exceeded},
+    {"mctsvc_requests_failed_total", "counter",
+     "Requests whose executor returned a non-OK status",
+     &ServiceMetrics::failed},
+    {"mctsvc_page_hits_total", "counter",
+     "Buffer-pool hits attributed to completed requests",
+     &ServiceMetrics::page_hits},
+    {"mctsvc_page_misses_total", "counter",
+     "Buffer-pool misses attributed to completed requests",
+     &ServiceMetrics::page_misses},
+    {"mctsvc_slow_queries_total", "counter",
+     "Completed requests at or over the slow-query threshold",
+     &ServiceMetrics::slow_queries},
+    {"mctsvc_queries_pruned_total", "counter",
+     "Statically-empty plans short-circuited to a zero-I/O result",
+     &ServiceMetrics::queries_pruned},
+    {"mctsvc_plans_simplified_total", "counter",
+     "Completed plans carrying a QRY008/QRY009 simplification finding",
+     &ServiceMetrics::plans_simplified},
+    {"mctsvc_plan_cache_hits_total", "counter",
+     "SubmitQuery admissions served from the plan cache",
+     &ServiceMetrics::plan_cache_hits},
+    {"mctsvc_plan_cache_misses_total", "counter",
+     "SubmitQuery admissions planned fresh (no cached entry)",
+     &ServiceMetrics::plan_cache_misses},
+    {"mctsvc_plan_cache_invalidations_total", "counter",
+     "Cached plans dropped because an update or checkpoint moved "
+     "visibility",
+     &ServiceMetrics::plan_cache_invalidations},
+    {"mctsvc_index_seeks_total", "counter",
+     "Posting scans that skipped pages via the interval index",
+     &ServiceMetrics::index_seeks},
+    {"mctsvc_updates_submitted_total", "counter",
+     "Update ops admitted via SubmitUpdate",
+     &ServiceMetrics::updates_submitted},
+    {"mctsvc_updates_failed_total", "counter",
+     "Update ops whose apply returned a non-OK status",
+     &ServiceMetrics::updates_failed},
+    {"mctsvc_wal_appends_total", "counter",
+     "WAL records appended by completed updates",
+     &ServiceMetrics::wal_appends},
+    {"mctsvc_recovery_replayed_records", "gauge",
+     "WAL redo records replayed at open across registered stores",
+     &ServiceMetrics::recovery_replayed_records},
+    {"mctsvc_queue_depth", "gauge", "Requests admitted but not yet finished",
+     &ServiceMetrics::queue_depth},
+};
+
+struct HistogramRow {
+  const char* name;
+  const char* help;
+  LatencyHistogram ServiceMetrics::*value;
+};
+
+constexpr HistogramRow kHistograms[] = {
+    {"mctsvc_wal_fsync_seconds",
+     "Group-commit fsync latency (recorded by each batch's leader)",
+     &ServiceMetrics::wal_fsync_seconds},
+    {"mctsvc_queue_wait_seconds",
+     "Admission-to-dequeue wait per dequeued task",
+     &ServiceMetrics::queue_wait_seconds},
+    {"mctsvc_request_latency_seconds", "End-to-end request execution latency",
+     &ServiceMetrics::latency},
+};
+
+}  // namespace
+
+std::string RenderPrometheus(const std::vector<MetricFamily>& families) {
+  std::string out;
+  for (const MetricFamily& f : families) {
+    out += "# HELP " + f.name + " " + f.help + "\n";
+    out += "# TYPE " + f.name + " " + f.type + "\n";
+    for (const MetricSample& s : f.samples) {
+      out += f.name + s.suffix;
+      for (size_t i = 0; i < s.labels.size(); ++i) {
+        out += i == 0 ? "{" : ",";
+        out += s.labels[i].first + "=\"" +
+               PromLabelEscape(s.labels[i].second) + "\"";
+      }
+      if (!s.labels.empty()) out += '}';
+      out += " " + FormatValue(s.value) + "\n";
+    }
+  }
+  return out;
+}
+
+std::string RenderJson(const std::vector<MetricFamily>& families) {
+  using mctdb::obs::JsonEscape;
+  std::string out = "{\"families\":[";
+  for (size_t fi = 0; fi < families.size(); ++fi) {
+    const MetricFamily& f = families[fi];
+    if (fi > 0) out += ',';
+    out += "{\"name\":\"" + JsonEscape(f.name) + "\",\"type\":\"" +
+           JsonEscape(f.type) + "\",\"help\":\"" + JsonEscape(f.help) +
+           "\",\"samples\":[";
+    for (size_t si = 0; si < f.samples.size(); ++si) {
+      const MetricSample& s = f.samples[si];
+      out += si == 0 ? "{" : ",{";
+      if (!s.suffix.empty()) out += "\"suffix\":\"" + s.suffix + "\",";
+      for (size_t i = 0; i < s.labels.size(); ++i) {
+        out += i == 0 ? "\"labels\":{" : ",";
+        out += "\"" + JsonEscape(s.labels[i].first) + "\":\"" +
+               JsonEscape(s.labels[i].second) + "\"";
+      }
+      if (!s.labels.empty()) out += "},";
+      out += "\"value\":" + FormatValue(s.value) + "}";
+    }
+    out += "]}";
+  }
+  out += "]}";
+  return out;
+}
+
 double LatencyHistogram::BucketUpperUs(size_t i) {
   return std::ldexp(1.0, static_cast<int>(i));
 }
-
-namespace {
-
-void AppendU64(std::string* out, const char* key, uint64_t value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu", key,
-                static_cast<unsigned long long>(value));
-  *out += buf;
-}
-
-}  // namespace
 
 void LatencyHistogram::Record(double seconds) {
   if (seconds < 0) seconds = 0;
@@ -49,72 +193,21 @@ void LatencyHistogram::Record(double seconds) {
                          std::memory_order_relaxed);
 }
 
-double LatencyHistogram::Quantile(double q) const {
-  uint64_t total = count();
-  if (total == 0) return 0.0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  uint64_t rank = static_cast<uint64_t>(q * double(total - 1)) + 1;
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    seen += bucket(i);
-    if (seen >= rank) return BucketUpperUs(i) * 1e-6;
-  }
-  return BucketUpperUs(kBuckets - 1) * 1e-6;
-}
-
-std::string LatencyHistogram::ToJson() const {
-  std::string out = "{";
-  AppendU64(&out, "count", count());
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), ",\"total_seconds\":%.6f,\"p50_us\":%.1f,"
-                "\"p95_us\":%.1f,\"p99_us\":%.1f",
-                total_seconds(), Quantile(0.5) * 1e6, Quantile(0.95) * 1e6,
-                Quantile(0.99) * 1e6);
-  out += buf;
-  out += ",\"buckets_us\":[";
-  // Cumulative counts, matching the `le` (less-or-equal) key: each entry
-  // counts every sample <= that upper bound. Empty buckets are elided.
-  bool first = true;
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    uint64_t c = bucket(i);
-    cumulative += c;
-    if (c == 0) continue;
-    if (!first) out += ',';
-    first = false;
-    std::snprintf(buf, sizeof(buf), "{\"le\":%.0f,\"count\":%llu}",
-                  BucketUpperUs(i),
-                  static_cast<unsigned long long>(cumulative));
-    out += buf;
-  }
-  out += "]}";
-  return out;
-}
-
-void LatencyHistogram::AppendPrometheus(std::string* out,
-                                        const std::string& name,
-                                        const std::string& help) const {
-  char buf[128];
-  *out += "# HELP " + name + " " + help + "\n";
-  *out += "# TYPE " + name + " histogram\n";
+MetricFamily LatencyHistogram::ToFamily(std::string name,
+                                        std::string help) const {
+  MetricFamily f{std::move(name), "histogram", std::move(help), {}};
   uint64_t cumulative = 0;
   for (size_t i = 0; i < kBuckets; ++i) {
     cumulative += bucket(i);
     if (i + 1 == kBuckets) break;  // the overflow bucket is +Inf below
-    std::snprintf(buf, sizeof(buf), "{le=\"%g\"} %llu\n",
-                  BucketUpperUs(i) * 1e-6,
-                  static_cast<unsigned long long>(cumulative));
-    *out += name + "_bucket" + buf;
+    char le[32];
+    std::snprintf(le, sizeof(le), "%g", BucketUpperUs(i) * 1e-6);
+    f.Add({{"le", le}}, cumulative, "_bucket");
   }
-  std::snprintf(buf, sizeof(buf), "{le=\"+Inf\"} %llu\n",
-                static_cast<unsigned long long>(cumulative));
-  *out += name + "_bucket" + buf;
-  std::snprintf(buf, sizeof(buf), " %.9f\n", total_seconds());
-  *out += name + "_sum" + buf;
-  std::snprintf(buf, sizeof(buf), " %llu\n",
-                static_cast<unsigned long long>(count()));
-  *out += name + "_count" + buf;
+  f.Add({{"le", "+Inf"}}, cumulative, "_bucket");
+  f.Add({}, total_seconds(), "_sum");
+  f.Add({}, count(), "_count");
+  return f;
 }
 
 void LatencyHistogram::Reset() {
@@ -123,215 +216,37 @@ void LatencyHistogram::Reset() {
   total_nanos_.store(0, std::memory_order_relaxed);
 }
 
-std::string ServiceMetrics::ToJson() const {
-  std::string out = "{";
-  AppendU64(&out, "submitted", submitted.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "completed", completed.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "rejected", rejected.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "sheds", sheds.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "breaker_rejections",
-            breaker_rejections.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "invalid_plans",
-            invalid_plans.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "deadline_exceeded",
-            deadline_exceeded.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "failed", failed.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "queue_depth",
-            queue_depth.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "page_hits", page_hits.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "page_misses",
-            page_misses.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "slow_queries",
-            slow_queries.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "queries_pruned",
-            queries_pruned.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "plans_simplified",
-            plans_simplified.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "plan_cache_hits",
-            plan_cache_hits.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "plan_cache_misses",
-            plan_cache_misses.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "plan_cache_invalidations",
-            plan_cache_invalidations.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "index_seeks",
-            index_seeks.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "updates_submitted",
-            updates_submitted.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "updates_failed",
-            updates_failed.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "wal_appends",
-            wal_appends.load(std::memory_order_relaxed));
-  out += ',';
-  AppendU64(&out, "recovery_replayed_records",
-            recovery_replayed_records.load(std::memory_order_relaxed));
-  out += ",\"wal_fsync\":" + wal_fsync_seconds.ToJson();
-  out += ",\"queue_wait\":" + queue_wait_seconds.ToJson();
-  out += ",\"latency\":" + latency.ToJson();
-  out += ",\"lock_wait\":{";
-  bool first_rank = true;
+std::vector<MetricFamily> ServiceMetrics::Families() const {
+  std::vector<MetricFamily> out;
+  for (const CounterRow& row : kCounters) {
+    out.push_back({row.name, row.type, row.help, {}});
+    out.back().Add({}, (this->*row.value).load(std::memory_order_relaxed));
+  }
+  for (const HistogramRow& row : kHistograms) {
+    out.push_back((this->*row.value).ToFamily(row.name, row.help));
+  }
+  // Per-rank lock contention. The summary's _count is contended
+  // acquisitions and its _sum the seconds spent blocked on them.
+  MetricFamily wait{"mctsvc_lock_wait_seconds", "summary",
+                    "Time spent blocked on ranked OrderedMutex "
+                    "acquisitions, per lock rank",
+                    {}};
+  MetricFamily acquisitions{"mctsvc_lock_acquisitions_total", "counter",
+                            "Ranked OrderedMutex blocking acquisitions, "
+                            "per lock rank",
+                            {}};
   for (mctdb::LockRank rank : mctdb::kAllLockRanks) {
     const mctdb::LockWaitCounters& c = mctdb::LockWaitFor(rank);
-    char buf[160];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\"%s\":{\"acquisitions\":%llu,\"contended\":%llu,"
-        "\"wait_seconds\":%.9f}",
-        first_rank ? "" : ",", mctdb::ToString(rank),
-        static_cast<unsigned long long>(
-            c.acquisitions.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            c.contended.load(std::memory_order_relaxed)),
-        double(c.wait_nanos.load(std::memory_order_relaxed)) * 1e-9);
-    out += buf;
-    first_rank = false;
+    const MetricSample::Labels labels{{"rank", mctdb::ToString(rank)}};
+    wait.Add(labels,
+             double(c.wait_nanos.load(std::memory_order_relaxed)) * 1e-9,
+             "_sum");
+    wait.Add(labels, c.contended.load(std::memory_order_relaxed), "_count");
+    acquisitions.Add(labels,
+                     c.acquisitions.load(std::memory_order_relaxed));
   }
-  out += "}}";
-  return out;
-}
-
-std::string ServiceMetrics::ToPrometheus() const {
-  std::string out;
-  auto sample = [&out](const char* name, const char* type,
-                       const char* help, uint64_t value) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(value));
-    out += std::string("# HELP ") + name + " " + help + "\n";
-    out += std::string("# TYPE ") + name + " " + type + "\n";
-    out += name;
-    out += buf;
-  };
-  auto counter = [&sample](const char* name, const char* help,
-                           uint64_t value) {
-    sample(name, "counter", help, value);
-  };
-  counter("mctsvc_requests_submitted_total",
-          "Requests admitted into the service",
-          submitted.load(std::memory_order_relaxed));
-  counter("mctsvc_requests_completed_total",
-          "Requests finished (including deadline cancellations)",
-          completed.load(std::memory_order_relaxed));
-  counter("mctsvc_requests_rejected_total",
-          "Admission-queue overflow rejections",
-          rejected.load(std::memory_order_relaxed));
-  counter("mctsvc_sheds_total",
-          "Requests shed by the load-shedding admission controller",
-          sheds.load(std::memory_order_relaxed));
-  counter("mctsvc_breaker_rejections_total",
-          "Requests refused by an open circuit breaker",
-          breaker_rejections.load(std::memory_order_relaxed));
-  counter("mctsvc_invalid_plans_total",
-          "Plans rejected by the static verifier at admission",
-          invalid_plans.load(std::memory_order_relaxed));
-  counter("mctsvc_deadline_exceeded_total",
-          "Requests cancelled at dequeue after their deadline passed",
-          deadline_exceeded.load(std::memory_order_relaxed));
-  counter("mctsvc_requests_failed_total",
-          "Requests whose executor returned a non-OK status",
-          failed.load(std::memory_order_relaxed));
-  counter("mctsvc_page_hits_total",
-          "Buffer-pool hits attributed to completed requests",
-          page_hits.load(std::memory_order_relaxed));
-  counter("mctsvc_page_misses_total",
-          "Buffer-pool misses attributed to completed requests",
-          page_misses.load(std::memory_order_relaxed));
-  counter("mctsvc_slow_queries_total",
-          "Completed requests at or over the slow-query threshold",
-          slow_queries.load(std::memory_order_relaxed));
-  counter("mctsvc_queries_pruned_total",
-          "Statically-empty plans short-circuited to a zero-I/O result",
-          queries_pruned.load(std::memory_order_relaxed));
-  counter("mctsvc_plans_simplified_total",
-          "Completed plans carrying a QRY008/QRY009 simplification finding",
-          plans_simplified.load(std::memory_order_relaxed));
-  counter("mctsvc_plan_cache_hits_total",
-          "SubmitQuery admissions served from the plan cache",
-          plan_cache_hits.load(std::memory_order_relaxed));
-  counter("mctsvc_plan_cache_misses_total",
-          "SubmitQuery admissions planned fresh (no cached entry)",
-          plan_cache_misses.load(std::memory_order_relaxed));
-  counter("mctsvc_plan_cache_invalidations_total",
-          "Cached plans dropped because an update or checkpoint moved "
-          "visibility",
-          plan_cache_invalidations.load(std::memory_order_relaxed));
-  counter("mctsvc_index_seeks_total",
-          "Posting scans that skipped pages via the interval index",
-          index_seeks.load(std::memory_order_relaxed));
-  counter("mctsvc_updates_submitted_total",
-          "Update ops admitted via SubmitUpdate",
-          updates_submitted.load(std::memory_order_relaxed));
-  counter("mctsvc_updates_failed_total",
-          "Update ops whose apply returned a non-OK status",
-          updates_failed.load(std::memory_order_relaxed));
-  counter("mctsvc_wal_appends_total",
-          "WAL records appended by completed updates",
-          wal_appends.load(std::memory_order_relaxed));
-  sample("mctsvc_recovery_replayed_records", "gauge",
-         "WAL redo records replayed at open across registered stores",
-         recovery_replayed_records.load(std::memory_order_relaxed));
-  sample("mctsvc_queue_depth", "gauge",
-         "Requests admitted but not yet finished",
-         queue_depth.load(std::memory_order_relaxed));
-  wal_fsync_seconds.AppendPrometheus(
-      &out, "mctsvc_wal_fsync_seconds",
-      "Group-commit fsync latency (recorded by each batch's leader)");
-  queue_wait_seconds.AppendPrometheus(
-      &out, "mctsvc_queue_wait_seconds",
-      "Admission-to-dequeue wait per dequeued task");
-  latency.AppendPrometheus(&out, "mctsvc_request_latency_seconds",
-                           "End-to-end request execution latency");
-  // Per-rank lock contention as a summary family: _count = contended
-  // acquisitions, _sum = seconds spent blocked on them.
-  out += "# HELP mctsvc_lock_wait_seconds Time spent blocked on ranked "
-         "OrderedMutex acquisitions, per lock rank\n";
-  out += "# TYPE mctsvc_lock_wait_seconds summary\n";
-  for (mctdb::LockRank rank : mctdb::kAllLockRanks) {
-    const mctdb::LockWaitCounters& c = mctdb::LockWaitFor(rank);
-    char buf[160];
-    std::snprintf(
-        buf, sizeof(buf),
-        "mctsvc_lock_wait_seconds_sum{rank=\"%s\"} %.9f\n"
-        "mctsvc_lock_wait_seconds_count{rank=\"%s\"} %llu\n",
-        mctdb::ToString(rank),
-        double(c.wait_nanos.load(std::memory_order_relaxed)) * 1e-9,
-        mctdb::ToString(rank),
-        static_cast<unsigned long long>(
-            c.contended.load(std::memory_order_relaxed)));
-    out += buf;
-  }
-  out += "# HELP mctsvc_lock_acquisitions_total Ranked OrderedMutex "
-         "blocking acquisitions, per lock rank\n";
-  out += "# TYPE mctsvc_lock_acquisitions_total counter\n";
-  for (mctdb::LockRank rank : mctdb::kAllLockRanks) {
-    const mctdb::LockWaitCounters& c = mctdb::LockWaitFor(rank);
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_lock_acquisitions_total{rank=\"%s\"} %llu\n",
-                  mctdb::ToString(rank),
-                  static_cast<unsigned long long>(
-                      c.acquisitions.load(std::memory_order_relaxed)));
-    out += buf;
-  }
+  out.push_back(std::move(wait));
+  out.push_back(std::move(acquisitions));
   return out;
 }
 

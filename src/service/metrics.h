@@ -1,5 +1,6 @@
-// ServiceMetrics: lock-free counters and a latency histogram for the
-// mctsvc query service, exportable as JSON for scrapers and dashboards.
+// ServiceMetrics: lock-free counters and latency histograms for the mctsvc
+// query service, plus the one family model that both exports render
+// (Prometheus text for /metrics, JSON for /metrics.json).
 #pragma once
 
 #include <atomic>
@@ -7,6 +8,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
+#include <vector>
 
 namespace mctsvc {
 
@@ -15,12 +19,48 @@ namespace mctsvc {
 /// text exposition format (store names are caller-chosen strings).
 std::string PromLabelEscape(std::string_view value);
 
+/// One sample of a MetricFamily. `suffix` extends the family name for
+/// histogram and summary series ("_bucket", "_sum", "_count"); counters
+/// and gauges leave it empty. Counts are exact integers; sums of seconds
+/// are reals.
+struct MetricSample {
+  using Labels = std::vector<std::pair<std::string, std::string>>;
+  using Value = std::variant<uint64_t, double>;
+  std::string suffix;
+  Labels labels;
+  Value value;
+};
+
+/// One metric family: name, Prometheus type ("counter", "gauge",
+/// "histogram" or "summary"), help text, and its samples in export order.
+/// A family without samples still exports its header.
+struct MetricFamily {
+  std::string name;
+  std::string type;
+  std::string help;
+  std::vector<MetricSample> samples;
+
+  void Add(MetricSample::Labels labels, MetricSample::Value value,
+           std::string suffix = {}) {
+    samples.push_back({std::move(suffix), std::move(labels), value});
+  }
+};
+
+/// Prometheus text exposition: `# HELP` and `# TYPE` per family, then one
+/// `<name><suffix>{labels} <value>` line per sample. Label values are
+/// escaped with PromLabelEscape; integers print exactly, reals as %.9f.
+std::string RenderPrometheus(const std::vector<MetricFamily>& families);
+/// The same families and samples as one JSON document:
+/// {"families":[{"name","type","help","samples":[{"suffix"?,"labels"?,
+/// "value"}]}]}, values printed exactly as RenderPrometheus prints them.
+std::string RenderJson(const std::vector<MetricFamily>& families);
+
 /// Power-of-two-microsecond latency buckets: bucket i counts requests with
 /// latency in (2^(i-1), 2^i] microseconds (bucket 0 is <= 1 us, the last
 /// bucket is the overflow). A sample exactly on a bucket's upper bound
 /// belongs to THAT bucket, matching the cumulative `le` (less-or-equal)
-/// semantics of the JSON and Prometheus exports. Recording is a single
-/// relaxed atomic add, so worker threads never serialize on the histogram.
+/// semantics of the exported family. Recording is a single relaxed atomic
+/// add, so worker threads never serialize on the histogram.
 class LatencyHistogram {
  public:
   static constexpr size_t kBuckets = 24;  // up to ~8.4 s, then overflow
@@ -33,28 +73,16 @@ class LatencyHistogram {
   double total_seconds() const {
     return double(total_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   }
-  /// Conservative q-quantile estimate in seconds: the UPPER BOUND of the
-  /// first bucket whose cumulative count reaches rank q (no intra-bucket
-  /// interpolation), so the true quantile is <= the returned value and at
-  /// most 2x smaller. 0 when empty.
-  double Quantile(double q) const;
   uint64_t bucket(size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
   /// Bucket i's `le` upper bound in microseconds (2^i).
   static double BucketUpperUs(size_t i);
 
-  /// Buckets export as CUMULATIVE {"le":X,"count":N} pairs — N counts all
-  /// samples <= X us — mirroring the Prometheus histogram convention.
-  /// Entries whose own bucket is empty are elided (the cumulative count is
-  /// recoverable from the next emitted entry).
-  std::string ToJson() const;
-  /// Prometheus text exposition: `# HELP` + `# TYPE` headers, then
-  /// `<name>_bucket{le="..."}` cumulative series (le in SECONDS, ending
-  /// with +Inf), plus `<name>_sum` and `<name>_count`.
-  void AppendPrometheus(std::string* out, const std::string& name,
-                        const std::string& help =
-                            "Request latency histogram") const;
+  /// The histogram as one "histogram" family: CUMULATIVE `_bucket`
+  /// samples labelled `le` in SECONDS (each counts every sample <= le),
+  /// ending with le="+Inf", then `_sum` and `_count`.
+  MetricFamily ToFamily(std::string name, std::string help) const;
   void Reset();
 
  private:
@@ -128,12 +156,10 @@ struct ServiceMetrics {
   /// (followers piggyback on the leader's fsync and record nothing).
   LatencyHistogram wal_fsync_seconds;
 
-  /// Counters + latency histogram as one JSON object (no pool stats; the
-  /// service adds those, see QueryService::MetricsJson).
-  std::string ToJson() const;
-  /// Counters + latency histogram in Prometheus text exposition format,
-  /// `mctsvc_`-prefixed (no pool stats; see QueryService::MetricsText).
-  std::string ToPrometheus() const;
+  /// Every counter, gauge and histogram above, then per-rank lock
+  /// contention, as `mctsvc_`-prefixed families in /metrics order (no
+  /// per-store series; QueryService::Families adds those).
+  std::vector<MetricFamily> Families() const;
 };
 
 }  // namespace mctsvc

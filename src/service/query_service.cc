@@ -65,9 +65,6 @@ QueryService::QueryService(const ServiceOptions& options)
           } else if (path == "/slowlog") {
             response.content_type = "application/json";
             response.body = SlowQueriesJson() + "\n";
-          } else if (path == "/tracez") {
-            response.content_type = "application/json";
-            response.body = TracesJson() + "\n";
           } else if (path == "/statusz") {
             response.content_type = "application/json";
             response.body = StatuszJson() + "\n";
@@ -78,7 +75,7 @@ QueryService::QueryService(const ServiceOptions& options)
             response.status = 404;
             response.body =
                 "not found; routes: /metrics /metrics.json /healthz "
-                "/slowlog /tracez /statusz /flightz\n";
+                "/slowlog /statusz /flightz\n";
           }
           return response;
         });
@@ -499,15 +496,6 @@ void QueryService::RecordCompletion(const Session& session,
                                  std::memory_order_relaxed);
   metrics_.index_seeks.fetch_add(result.index_seeks,
                                  std::memory_order_relaxed);
-  if (options_.trace_log_capacity > 0) {
-    // Render outside the ring lock; the span tree is request-private.
-    std::string rendered = mctdb::obs::SpanToJson(result.trace);
-    std::lock_guard<mctdb::OrderedMutex> lock(slow_mu_);
-    trace_log_.push_back(std::move(rendered));
-    while (trace_log_.size() > options_.trace_log_capacity) {
-      trace_log_.pop_front();
-    }
-  }
   if (options_.slow_query_seconds <= 0 ||
       result.elapsed_seconds < options_.slow_query_seconds ||
       options_.slow_query_log_capacity == 0) {
@@ -530,6 +518,7 @@ void QueryService::RecordCompletion(const Session& session,
   record.page_misses = result.page_misses;
   record.join_pairs = result.join_pairs;
   record.stages = mctdb::obs::AggregateByStage(result.trace);
+  record.trace = result.trace;
   std::lock_guard<mctdb::OrderedMutex> lock(slow_mu_);
   slow_log_.push_back(std::move(record));
   while (slow_log_.size() > options_.slow_query_log_capacity) {
@@ -554,6 +543,8 @@ void QueryService::RecordRejection(const std::string& store,
   record.query = query_label;
   record.trace_id = trace_id;
   record.outcome = outcome;
+  record.trace.label = query_label;
+  record.trace.trace_id = trace_id;
   std::lock_guard<mctdb::OrderedMutex> lock(slow_mu_);
   slow_log_.push_back(std::move(record));
   while (slow_log_.size() > options_.slow_query_log_capacity) {
@@ -613,24 +604,7 @@ std::string QueryService::SlowQueriesJson() const {
           row.seconds, static_cast<unsigned long long>(row.calls));
       out += buf;
     }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
-}
-
-std::vector<std::string> QueryService::RecentTraces() const {
-  std::lock_guard<mctdb::OrderedMutex> lock(slow_mu_);
-  return {trace_log_.begin(), trace_log_.end()};
-}
-
-std::string QueryService::TracesJson() const {
-  std::string out = "{\"traces\":[";
-  bool first = true;
-  for (const std::string& trace : RecentTraces()) {
-    if (!first) out += ',';
-    first = false;
-    out += trace;
+    out += "],\"trace\":" + mctdb::obs::SpanToJson(r.trace) + "}";
   }
   out += "]}";
   return out;
@@ -746,26 +720,18 @@ std::string QueryService::StatuszJson() const {
           std::chrono::duration<double>(now - entry.start).count());
     }
   }
-  out += "],\"queue_wait\":" + metrics_.queue_wait_seconds.ToJson();
-  // Lock contention per rank — the live view behind
-  // mctsvc_lock_wait_seconds.
-  out += ",\"lock_wait\":{";
-  bool first_rank = true;
-  for (mctdb::LockRank rank : mctdb::kAllLockRanks) {
-    const mctdb::LockWaitCounters& c = mctdb::LockWaitFor(rank);
-    if (!first_rank) out += ',';
-    first_rank = false;
-    out += mctdb::StringPrintf(
-        "\"%s\":{\"acquisitions\":%llu,\"contended\":%llu,"
-        "\"wait_seconds\":%.6f}",
-        mctdb::ToString(rank),
-        static_cast<unsigned long long>(
-            c.acquisitions.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            c.contended.load(std::memory_order_relaxed)),
-        double(c.wait_nanos.load(std::memory_order_relaxed)) * 1e-9);
+  // queue_wait and lock_wait are the registry's own families.
+  std::vector<MetricFamily> queue_wait, lock_wait;
+  for (MetricFamily& f : metrics_.Families()) {
+    if (f.name == "mctsvc_queue_wait_seconds") {
+      queue_wait.push_back(std::move(f));
+    } else if (f.name.rfind("mctsvc_lock_", 0) == 0) {
+      lock_wait.push_back(std::move(f));
+    }
   }
-  out += "},\"stores\":[";
+  out += "],\"queue_wait\":" + RenderJson(queue_wait);
+  out += ",\"lock_wait\":" + RenderJson(lock_wait);
+  out += ",\"stores\":[";
   {
     std::lock_guard<mctdb::OrderedMutex> lock(mu_);
     bool first = true;
@@ -924,8 +890,6 @@ Result<QueryFuture> QueryService::Session::SubmitPlanned(
     double timeout_seconds, Priority priority, bool pre_verified,
     uint64_t trace_id) {
   QueryService* svc = service_;
-  const std::string query_label =
-      plan.query != nullptr ? plan.query->name : std::string("<plan>");
   // Admission gate: statically verify the plan before it consumes an
   // admission slot or a worker, so a malformed plan can never crash (or
   // wedge) a worker thread.
@@ -953,6 +917,51 @@ Result<QueryFuture> QueryService::Session::SubmitPlanned(
       }
     }
   }
+  Task task;
+  task.plan = &plan;
+  task.holder = std::move(holder);
+  task.trace_id = trace_id;
+  task.query_label =
+      plan.query != nullptr ? plan.query->name : std::string("<plan>");
+  QueryFuture future = task.promise.get_future();
+  MCTDB_RETURN_IF_ERROR(Admit(std::move(task), timeout_seconds, priority));
+  return future;
+}
+
+Result<UpdateFuture> QueryService::Session::SubmitUpdate(
+    const mctdb::storage::UpdateOp& op, double timeout_seconds) {
+  QueryService* svc = service_;
+  if (durable_ == nullptr) {
+    return Status::InvalidArgument(
+        "store '" + store_name_ +
+        "' is not WAL-backed; register it with AddDurableStore to accept "
+        "updates");
+  }
+  if (svc->options_.verify_plans) {
+    mctdb::analysis::DiagnosticReport report = mctdb::analysis::VerifyUpdate(
+        durable_->store()->schema(), op);
+    if (report.has_errors()) {
+      svc->metrics_.invalid_plans.fetch_add(1, std::memory_order_relaxed);
+      return Status::InvalidArgument("update verification failed:\n" +
+                                     report.ToText());
+    }
+  }
+  Task task;
+  task.op = &op;
+  task.trace_id = mctdb::obs::MintTraceId();
+  task.query_label = mctdb::storage::UpdateKindName(op.kind);
+  UpdateFuture future = task.update_promise.get_future();
+  // Updates are Priority::kHigh by design: they are never load-shed, only
+  // refused at the hard admission limit.
+  MCTDB_RETURN_IF_ERROR(
+      Admit(std::move(task), timeout_seconds, Priority::kHigh));
+  return future;
+}
+
+Status QueryService::Session::Admit(Task task, double timeout_seconds,
+                                    Priority priority) {
+  QueryService* svc = service_;
+  const uint64_t trace_id = task.trace_id;
   // An open breaker refuses before the request consumes an admission
   // slot: the store is known-broken, queueing the work only delays the
   // same failure and starves healthy stores of workers.
@@ -961,7 +970,7 @@ Result<QueryFuture> QueryService::Session::SubmitPlanned(
                                                std::memory_order_relaxed);
     flight::Record(flight::Subsystem::kService,
                    flight::Site::kBreakerReject, trace_id, 0);
-    svc->RecordRejection(store_name_, "breaker", trace_id, query_label);
+    svc->RecordRejection(store_name_, "breaker", trace_id, task.query_label);
     return Status::Unavailable(mctdb::StringPrintf(
         "store '%s' circuit breaker is %s; retry after %.1fs",
         store_name_.c_str(),
@@ -975,7 +984,8 @@ Result<QueryFuture> QueryService::Session::SubmitPlanned(
     svc->metrics_.rejected.fetch_add(1, std::memory_order_relaxed);
     flight::Record(flight::Subsystem::kService, flight::Site::kReject,
                    trace_id, in_flight);
-    svc->RecordRejection(store_name_, "rejected", trace_id, query_label);
+    svc->RecordRejection(store_name_, "rejected", trace_id,
+                         task.query_label);
     // Debug level: overload rejections are high-frequency by nature and
     // already counted in mctsvc_requests_rejected_total.
     MCTDB_LOG(kDebug, "mctsvc", "admission rejected",
@@ -1000,7 +1010,7 @@ Result<QueryFuture> QueryService::Session::SubmitPlanned(
     svc->metrics_.sheds.fetch_add(1, std::memory_order_relaxed);
     flight::Record(flight::Subsystem::kService, flight::Site::kShed,
                    trace_id, in_flight);
-    svc->RecordRejection(store_name_, "shed", trace_id, query_label);
+    svc->RecordRejection(store_name_, "shed", trace_id, task.query_label);
     uint64_t done = svc->metrics_.latency.count();
     double mean = done > 0
                       ? svc->metrics_.latency.total_seconds() / double(done)
@@ -1023,26 +1033,23 @@ Result<QueryFuture> QueryService::Session::SubmitPlanned(
         watermark_fraction * 100.0, svc->options_.max_queued, hint));
   }
   svc->metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
+  if (task.op != nullptr) {
+    svc->metrics_.updates_submitted.fetch_add(1, std::memory_order_relaxed);
+  }
   svc->metrics_.queue_depth.store(in_flight, std::memory_order_relaxed);
   flight::Record(flight::Subsystem::kService, flight::Site::kAdmit,
                  trace_id, in_flight);
 
   double timeout = timeout_seconds > 0 ? timeout_seconds
                                        : svc->options_.default_timeout_seconds;
-  Task task;
-  task.plan = &plan;
-  task.holder = std::move(holder);
-  task.trace_id = trace_id;
   task.enqueue_time = std::chrono::steady_clock::now();
-  task.query_label = query_label;
   if (timeout > 0) {
     task.has_deadline = true;
-    task.deadline = std::chrono::steady_clock::now() +
+    task.deadline = task.enqueue_time +
                     std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
                         std::chrono::duration<double>(timeout));
   }
-  QueryFuture future = task.promise.get_future();
 
   bool need_schedule;
   {
@@ -1056,298 +1063,118 @@ Result<QueryFuture> QueryService::Session::SubmitPlanned(
         [svc, self = shared_from_this()] { svc->RunNext(self); });
     MCTDB_CHECK_MSG(ok, "submit on a shut-down service");
   }
-  return future;
+  return Status::OK();
 }
 
-Result<UpdateFuture> QueryService::Session::SubmitUpdate(
-    const mctdb::storage::UpdateOp& op, double timeout_seconds) {
-  QueryService* svc = service_;
-  const uint64_t trace_id = mctdb::obs::MintTraceId();
-  const std::string query_label = mctdb::storage::UpdateKindName(op.kind);
-  if (durable_ == nullptr) {
-    return Status::InvalidArgument(
-        "store '" + store_name_ +
-        "' is not WAL-backed; register it with AddDurableStore to accept "
-        "updates");
-  }
-  if (svc->options_.verify_plans) {
-    mctdb::analysis::DiagnosticReport report = mctdb::analysis::VerifyUpdate(
-        durable_->store()->schema(), op);
-    if (report.has_errors()) {
-      svc->metrics_.invalid_plans.fetch_add(1, std::memory_order_relaxed);
-      return Status::InvalidArgument("update verification failed:\n" +
-                                     report.ToText());
-    }
-  }
-  if (breaker_ != nullptr && !breaker_->Allow()) {
-    svc->metrics_.breaker_rejections.fetch_add(1,
-                                               std::memory_order_relaxed);
-    flight::Record(flight::Subsystem::kService,
-                   flight::Site::kBreakerReject, trace_id, 0);
-    svc->RecordRejection(store_name_, "breaker", trace_id, query_label);
-    return Status::Unavailable(mctdb::StringPrintf(
-        "store '%s' circuit breaker is %s; retry after %.1fs",
-        store_name_.c_str(),
-        CircuitBreaker::StateName(breaker_->state()),
-        breaker_->RetryAfterSeconds()));
-  }
-  // Updates are Priority::kHigh by design: they are never load-shed, only
-  // refused at the hard admission limit.
-  uint64_t in_flight =
-      svc->pending_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (in_flight > svc->options_.max_queued) {
-    svc->FinishOne();
-    svc->metrics_.rejected.fetch_add(1, std::memory_order_relaxed);
-    flight::Record(flight::Subsystem::kService, flight::Site::kReject,
-                   trace_id, in_flight);
-    svc->RecordRejection(store_name_, "rejected", trace_id, query_label);
-    return Status::ResourceExhausted(mctdb::StringPrintf(
-        "admission queue full (max_queued=%zu)", svc->options_.max_queued));
-  }
-  svc->metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
-  svc->metrics_.updates_submitted.fetch_add(1, std::memory_order_relaxed);
-  svc->metrics_.queue_depth.store(in_flight, std::memory_order_relaxed);
-  flight::Record(flight::Subsystem::kService, flight::Site::kAdmit,
-                 trace_id, in_flight);
-
-  double timeout = timeout_seconds > 0 ? timeout_seconds
-                                       : svc->options_.default_timeout_seconds;
-  Task task;
-  task.op = &op;
-  task.trace_id = trace_id;
-  task.enqueue_time = std::chrono::steady_clock::now();
-  task.query_label = query_label;
-  if (timeout > 0) {
-    task.has_deadline = true;
-    task.deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(timeout));
-  }
-  UpdateFuture future = task.update_promise.get_future();
-
-  bool need_schedule;
-  {
-    std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-    tasks_.push_back(std::move(task));
-    need_schedule = !scheduled_;
-    if (need_schedule) scheduled_ = true;
-  }
-  if (need_schedule) {
-    bool ok = svc->pool_->Submit(
-        [svc, self = shared_from_this()] { svc->RunNext(self); });
-    MCTDB_CHECK_MSG(ok, "submit on a shut-down service");
-  }
-  return future;
-}
-
-std::string QueryService::MetricsJson() const {
-  std::string out = "{\"service\":" + metrics_.ToJson();
-  out += ",\"stores\":[";
+std::vector<MetricFamily> QueryService::Families() const {
+  std::vector<MetricFamily> out = metrics_.Families();
   std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-  bool first_store = true;
+  if (stores_.empty()) return out;
+  // Per-store families, labelled {store="..."}: declared in /metrics
+  // order, filled by one pass over the stores, then appended.
+  MetricFamily hits{"mctsvc_pool_hits_total", "counter",
+                    "Sharded buffer pool hits per store", {}};
+  MetricFamily misses{"mctsvc_pool_misses_total", "counter",
+                      "Sharded buffer pool misses per store", {}};
+  MetricFamily resident{"mctsvc_pool_resident_pages", "gauge",
+                        "Pages resident in the sharded pool per store", {}};
+  MetricFamily checksum_failures{
+      "mctsvc_pool_checksum_failures_total", "counter",
+      "Page checksum verification failures per store", {}};
+  MetricFamily retries{"mctsvc_pool_retries_total", "counter",
+                       "Page-read retry attempts per store", {}};
+  MetricFamily quarantined{
+      "mctsvc_pool_quarantined_total", "counter",
+      "Pool frames quarantined after failed loads per store", {}};
+  MetricFamily breaker_state{
+      "mctsvc_breaker_state", "gauge",
+      "Circuit breaker state per store (0=closed, 1=half-open, 2=open)", {}};
+  // Self-maintenance (DESIGN.md §17), durable stores only.
+  MetricFamily checkpoints{"mctsvc_checkpoints_triggered_total", "counter",
+                           "Checkpoints by trigger reason per store", {}};
+  MetricFamily write_stalls{
+      "mctsvc_write_stalls_total", "counter",
+      "Writers paused behind an urgent rebalancing checkpoint per store",
+      {}};
+  MetricFamily rebalances{
+      "mctsvc_gap_rebalances_total", "counter",
+      "Live store rebases (interval-label rebalances) per store", {}};
+  MetricFamily readonly{"mctsvc_store_readonly", "gauge",
+                        "Store is read-only: WAL out of disk space, writes "
+                        "paused, reads still serving (0/1)",
+                        {}};
+  MetricFamily capacity{"mctsvc_pool_capacity_pages", "gauge",
+                        "Sharded buffer pool capacity in pages per store",
+                        {}};
+  MetricFamily shard_hits{"mctsvc_pool_shard_hits_total", "counter",
+                          "Sharded buffer pool hits per store and shard",
+                          {}};
+  MetricFamily shard_misses{"mctsvc_pool_shard_misses_total", "counter",
+                            "Sharded buffer pool misses per store and shard",
+                            {}};
+  MetricFamily shard_resident{"mctsvc_pool_shard_resident_pages", "gauge",
+                              "Pages resident per store and shard", {}};
   for (const auto& [name, entry] : stores_) {
-    if (!first_store) out += ',';
-    first_store = false;
-    out += "{\"name\":\"" + mctdb::obs::JsonEscape(name) + "\"";
+    const MetricSample::Labels store{{"store", name}};
+    const mctdb::storage::ShardedBufferPool& pool = *entry.view->pool;
+    const mctdb::storage::Pager& pager = *entry.view->store->pager();
+    hits.Add(store, pool.hits());
+    misses.Add(store, pool.misses());
+    resident.Add(store, uint64_t{pool.resident()});
+    checksum_failures.Add(store, pager.checksum_failures());
+    retries.Add(store, pager.retries());
+    quarantined.Add(store, pool.quarantined());
     if (entry.breaker != nullptr) {
-      out += std::string(",\"breaker\":\"") +
-             CircuitBreaker::StateName(entry.breaker->state()) + "\"";
+      const CircuitBreaker::State s = entry.breaker->state();
+      const uint64_t value = s == CircuitBreaker::State::kClosed     ? 0
+                             : s == CircuitBreaker::State::kHalfOpen ? 1
+                                                                     : 2;
+      breaker_state.Add(store, value);
     }
-    char buf[192];
-    const mctdb::storage::Pager* pager = entry.view->store->pager();
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\"checksum_failures\":%llu,\"retries\":%llu,"
-        "\"quarantined\":%llu",
-        static_cast<unsigned long long>(pager->checksum_failures()),
-        static_cast<unsigned long long>(pager->retries()),
-        static_cast<unsigned long long>(entry.view->pool->quarantined()));
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\"pool\":{\"capacity_pages\":%zu,\"resident\":%zu,"
-                  "\"hits\":%llu,\"misses\":%llu,\"shards\":[",
-                  entry.view->pool->capacity(), entry.view->pool->resident(),
-                  static_cast<unsigned long long>(entry.view->pool->hits()),
-                  static_cast<unsigned long long>(entry.view->pool->misses()));
-    out += buf;
-    bool first_shard = true;
-    for (const auto& shard : entry.view->pool->PerShard()) {
-      if (!first_shard) out += ',';
-      first_shard = false;
-      std::snprintf(buf, sizeof(buf),
-                    "{\"hits\":%llu,\"misses\":%llu,\"resident\":%zu}",
-                    static_cast<unsigned long long>(shard.hits),
-                    static_cast<unsigned long long>(shard.misses),
-                    shard.resident);
-      out += buf;
+    capacity.Add(store, uint64_t{pool.capacity()});
+    const std::vector<mctdb::storage::ShardedBufferPool::ShardStats> shards =
+        pool.PerShard();
+    for (size_t i = 0; i < shards.size(); ++i) {
+      MetricSample::Labels shard = store;
+      shard.emplace_back("shard", std::to_string(i));
+      shard_hits.Add(shard, shards[i].hits);
+      shard_misses.Add(shard, shards[i].misses);
+      shard_resident.Add(shard, uint64_t{shards[i].resident});
     }
-    out += "]}}";
+    if (entry.durable == nullptr) continue;
+    // Reason "manual" counts QueryService::Checkpoint calls; the other
+    // reasons come from the store's background MaintenanceManager.
+    checkpoints.Add({{"store", name}, {"reason", "manual"}},
+                    entry.manual_checkpoints);
+    if (entry.maintenance != nullptr) {
+      for (size_t r = 0; r < mctdb::wal::kNumCheckpointReasons; ++r) {
+        const auto reason = static_cast<mctdb::wal::CheckpointReason>(r);
+        if (reason == mctdb::wal::CheckpointReason::kManual) continue;
+        checkpoints.Add({{"store", name},
+                         {"reason", mctdb::wal::ToString(reason)}},
+                        entry.maintenance->checkpoints(reason));
+      }
+    }
+    write_stalls.Add(store, entry.durable->write_stalls());
+    rebalances.Add(store, entry.durable->rebases());
+    readonly.Add(store, uint64_t{entry.durable->read_only()});
   }
-  out += "]}";
+  for (MetricFamily* f :
+       {&hits, &misses, &resident, &checksum_failures, &retries,
+        &quarantined, &breaker_state, &checkpoints, &write_stalls,
+        &rebalances, &readonly, &capacity, &shard_hits, &shard_misses,
+        &shard_resident}) {
+    out.push_back(std::move(*f));
+  }
   return out;
 }
 
 std::string QueryService::MetricsText() const {
-  std::string out = metrics_.ToPrometheus();
-  std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-  if (stores_.empty()) return out;
-  // The exposition format wants one HELP+TYPE header per metric family,
-  // before any of its labeled samples — so emit per family, not per
-  // store. Store names are caller-chosen and must be label-escaped.
-  char buf[192];
-  out +=
-      "# HELP mctsvc_pool_hits_total Sharded buffer pool hits per store\n"
-      "# TYPE mctsvc_pool_hits_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_pool_hits_total{store=\"%s\"} %llu\n",
-                  PromLabelEscape(name).c_str(),
-                  static_cast<unsigned long long>(entry.view->pool->hits()));
-    out += buf;
-  }
-  out +=
-      "# HELP mctsvc_pool_misses_total Sharded buffer pool misses per "
-      "store\n"
-      "# TYPE mctsvc_pool_misses_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_pool_misses_total{store=\"%s\"} %llu\n",
-                  PromLabelEscape(name).c_str(),
-                  static_cast<unsigned long long>(entry.view->pool->misses()));
-    out += buf;
-  }
-  out +=
-      "# HELP mctsvc_pool_resident_pages Pages resident in the sharded "
-      "pool per store\n"
-      "# TYPE mctsvc_pool_resident_pages gauge\n";
-  for (const auto& [name, entry] : stores_) {
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_pool_resident_pages{store=\"%s\"} %zu\n",
-                  PromLabelEscape(name).c_str(), entry.view->pool->resident());
-    out += buf;
-  }
-  out +=
-      "# HELP mctsvc_pool_checksum_failures_total Page checksum "
-      "verification failures per store\n"
-      "# TYPE mctsvc_pool_checksum_failures_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "mctsvc_pool_checksum_failures_total{store=\"%s\"} %llu\n",
-        PromLabelEscape(name).c_str(),
-        static_cast<unsigned long long>(
-            entry.view->store->pager()->checksum_failures()));
-    out += buf;
-  }
-  out +=
-      "# HELP mctsvc_pool_retries_total Page-read retry attempts per "
-      "store\n"
-      "# TYPE mctsvc_pool_retries_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_pool_retries_total{store=\"%s\"} %llu\n",
-                  PromLabelEscape(name).c_str(),
-                  static_cast<unsigned long long>(
-                      entry.view->store->pager()->retries()));
-    out += buf;
-  }
-  out +=
-      "# HELP mctsvc_pool_quarantined_total Pool frames quarantined "
-      "after failed loads per store\n"
-      "# TYPE mctsvc_pool_quarantined_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_pool_quarantined_total{store=\"%s\"} %llu\n",
-                  PromLabelEscape(name).c_str(),
-                  static_cast<unsigned long long>(
-                      entry.view->pool->quarantined()));
-    out += buf;
-  }
-  // Breaker state as an enum gauge: 0 closed, 1 half-open, 2 open.
-  out +=
-      "# HELP mctsvc_breaker_state Circuit breaker state per store "
-      "(0=closed, 1=half-open, 2=open)\n"
-      "# TYPE mctsvc_breaker_state gauge\n";
-  for (const auto& [name, entry] : stores_) {
-    if (entry.breaker == nullptr) continue;
-    CircuitBreaker::State s = entry.breaker->state();
-    int value = s == CircuitBreaker::State::kClosed     ? 0
-                : s == CircuitBreaker::State::kHalfOpen ? 1
-                                                        : 2;
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_breaker_state{store=\"%s\"} %d\n",
-                  PromLabelEscape(name).c_str(), value);
-    out += buf;
-  }
-  // Self-maintenance families (DESIGN.md §17). Reason "manual" counts
-  // QueryService::Checkpoint calls; the other reasons come from each
-  // store's background MaintenanceManager.
-  out +=
-      "# HELP mctsvc_checkpoints_triggered_total Checkpoints by trigger "
-      "reason per store\n"
-      "# TYPE mctsvc_checkpoints_triggered_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    if (entry.durable == nullptr) continue;
-    std::snprintf(
-        buf, sizeof(buf),
-        "mctsvc_checkpoints_triggered_total{store=\"%s\",reason=\"manual\"}"
-        " %llu\n",
-        PromLabelEscape(name).c_str(),
-        static_cast<unsigned long long>(entry.manual_checkpoints));
-    out += buf;
-    if (entry.maintenance == nullptr) continue;
-    for (size_t r = 0; r < mctdb::wal::kNumCheckpointReasons; ++r) {
-      const auto reason = static_cast<mctdb::wal::CheckpointReason>(r);
-      if (reason == mctdb::wal::CheckpointReason::kManual) continue;
-      std::snprintf(
-          buf, sizeof(buf),
-          "mctsvc_checkpoints_triggered_total{store=\"%s\",reason=\"%s\"}"
-          " %llu\n",
-          PromLabelEscape(name).c_str(), mctdb::wal::ToString(reason),
-          static_cast<unsigned long long>(
-              entry.maintenance->checkpoints(reason)));
-      out += buf;
-    }
-  }
-  out +=
-      "# HELP mctsvc_write_stalls_total Writers paused behind an urgent "
-      "rebalancing checkpoint per store\n"
-      "# TYPE mctsvc_write_stalls_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    if (entry.durable == nullptr) continue;
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_write_stalls_total{store=\"%s\"} %llu\n",
-                  PromLabelEscape(name).c_str(),
-                  static_cast<unsigned long long>(
-                      entry.durable->write_stalls()));
-    out += buf;
-  }
-  out +=
-      "# HELP mctsvc_gap_rebalances_total Live store rebases (interval-"
-      "label rebalances) per store\n"
-      "# TYPE mctsvc_gap_rebalances_total counter\n";
-  for (const auto& [name, entry] : stores_) {
-    if (entry.durable == nullptr) continue;
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_gap_rebalances_total{store=\"%s\"} %llu\n",
-                  PromLabelEscape(name).c_str(),
-                  static_cast<unsigned long long>(entry.durable->rebases()));
-    out += buf;
-  }
-  out +=
-      "# HELP mctsvc_store_readonly Store is read-only: WAL out of disk "
-      "space, writes paused, reads still serving (0/1)\n"
-      "# TYPE mctsvc_store_readonly gauge\n";
-  for (const auto& [name, entry] : stores_) {
-    if (entry.durable == nullptr) continue;
-    std::snprintf(buf, sizeof(buf),
-                  "mctsvc_store_readonly{store=\"%s\"} %d\n",
-                  PromLabelEscape(name).c_str(),
-                  entry.durable->read_only() ? 1 : 0);
-    out += buf;
-  }
-  return out;
+  return RenderPrometheus(Families());
+}
+
+std::string QueryService::MetricsJson() const {
+  return RenderJson(Families());
 }
 
 }  // namespace mctsvc

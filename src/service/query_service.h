@@ -17,8 +17,10 @@
 //     ServiceOptions::pool_pages/pool_shards), shared by all of that
 //     store's sessions; each request gets its own Executor over that pool
 //     handle instead of the store's own one-shard pool;
-//   * a ServiceMetrics registry (latency histogram, queue depth, admission
-//     rejections, per-shard pool hit/miss) exportable as JSON;
+//   * one metrics registry: Families() lists every series once (the
+//     ServiceMetrics counters and histograms, lock contention, per-store
+//     and per-shard pool, breaker and maintenance state), rendered as
+//     Prometheus text for /metrics and as JSON for /metrics.json;
 //   * graceful degradation: a load-shedding admission controller (past
 //     the low watermark new-session/low-priority work is shed with
 //     Status::Unavailable and a retry-after hint, past the high watermark
@@ -97,10 +99,6 @@ struct ServiceOptions {
   /// Ring-buffer capacity of the slow-query log; the oldest entry is
   /// dropped once full.
   size_t slow_query_log_capacity = 32;
-  /// Keep the rendered span trace of the last N completed requests for
-  /// the /tracez endpoint. 0 (the default) disables the ring entirely —
-  /// no per-completion serialization cost on the hot path.
-  size_t trace_log_capacity = 0;
   /// Load-shedding watermarks as fractions of max_queued. Once the
   /// in-flight count crosses shed_low_fraction * max_queued, kLow
   /// submissions are shed with Status::Unavailable; past
@@ -114,11 +112,12 @@ struct ServiceOptions {
   /// A threshold of 0 disables the breakers.
   int breaker_failure_threshold = 5;
   double breaker_open_seconds = 5.0;
-  /// Serve /metrics, /healthz, /slowlog and /tracez over HTTP on
-  /// 127.0.0.1. -1 disables the endpoint; 0 binds an ephemeral port
-  /// (read it back with HttpPort()); > 0 binds that port. A bind
-  /// failure is logged and leaves the service running without the
-  /// endpoint (observability must never take the data path down).
+  /// Serve /metrics, /metrics.json, /healthz, /slowlog, /statusz and
+  /// /flightz over HTTP on 127.0.0.1. -1 disables the endpoint; 0 binds
+  /// an ephemeral port (read it back with HttpPort()); > 0 binds that
+  /// port. A bind failure is logged and leaves the service running
+  /// without the endpoint (observability must never take the data path
+  /// down).
   int http_port = -1;
   /// Start one wal::MaintenanceManager per durable store (background
   /// checkpointing, interval-label rebalancing, read-only re-probing;
@@ -194,18 +193,22 @@ class QueryService {
 
   ServiceMetrics& metrics() { return metrics_; }
   const ServiceMetrics& metrics() const { return metrics_; }
-  /// Service counters plus per-store, per-shard pool statistics as JSON.
-  std::string MetricsJson() const;
-  /// The same data in Prometheus text exposition format (counters, the
-  /// latency histogram with cumulative `le` buckets, per-store pool
-  /// gauges), ready to serve from a /metrics endpoint.
+  /// Every exported series, each listed once: ServiceMetrics::Families()
+  /// followed by the per-store families (pool, breaker, maintenance, then
+  /// pool capacity and per-shard pool series). No per-store family is
+  /// listed while no store is registered.
+  std::vector<MetricFamily> Families() const;
+  /// Families() in Prometheus text exposition format (the /metrics body).
   std::string MetricsText() const;
+  /// Families() as JSON (the /metrics.json body): the same samples as
+  /// MetricsText, see RenderJson.
+  std::string MetricsJson() const;
 
-  /// One slow-query log entry: the per-stage breakdown of a request that
-  /// crossed the slow_query_seconds threshold — or a request the admission
-  /// path turned away (outcome "shed"/"rejected"/"breaker"), so the log
-  /// still tells the story when the service is saturated and nothing
-  /// completes at all.
+  /// One slow-query log entry: the per-stage breakdown and span tree of a
+  /// request that crossed the slow_query_seconds threshold — or a request
+  /// the admission path turned away (outcome "shed"/"rejected"/"breaker"),
+  /// so the log still tells the story when the service is saturated and
+  /// nothing completes at all.
   struct SlowQueryRecord {
     std::string store;
     std::string query;
@@ -220,25 +223,25 @@ class QueryService {
     uint64_t page_misses = 0;
     uint64_t join_pairs = 0;
     mctdb::obs::StageTable stages{};
+    /// The request's span tree; a turned-away request's is its bare root
+    /// (label and trace id, no work).
+    mctdb::obs::Span trace;
   };
   /// Snapshot of the slow-query ring buffer, oldest first.
   std::vector<SlowQueryRecord> SlowQueries() const;
   /// The same snapshot as one JSON document (the /slowlog response):
-  /// {"slow_queries":[{"store":...,"query":...,"seconds":...,...}]}.
+  /// {"slow_queries":[{"store":...,"query":...,"seconds":...,...,
+  /// "trace":<span tree>}]}.
   std::string SlowQueriesJson() const;
-  /// Rendered span traces of recent completions, oldest first (empty
-  /// unless ServiceOptions::trace_log_capacity > 0).
-  std::vector<std::string> RecentTraces() const;
-  /// The /tracez response: {"traces":[<span tree>,...]}.
-  std::string TracesJson() const;
   /// The /healthz response: status ("ok"/"degraded"), uptime, store and
   /// worker counts, and per-store breaker states.
   std::string HealthJson() const;
   /// The /statusz response — live introspection in one JSON document:
   /// currently-executing requests (trace id, store, query, elapsed),
-  /// queue depth and the queue-wait histogram, per-durable-store in-flight
-  /// WAL batch size, plan-cache and breaker state, buffer-pool residency
-  /// per store, and per-rank lock contention.
+  /// queue depth, per-durable-store in-flight WAL batch size, plan-cache
+  /// and breaker state, and buffer-pool residency per store. `queue_wait`
+  /// and `lock_wait` are the registry's queue-wait histogram and lock
+  /// families, rendered by RenderJson.
   std::string StatuszJson() const;
   /// The /flightz response: a live flight-recorder snapshot rendered as
   /// {"events":[...]} (obs::flight::Snapshot; empty when the recorder is
@@ -339,7 +342,6 @@ class QueryService {
   std::condition_variable_any drained_cv_;
   mutable mctdb::OrderedMutex slow_mu_{mctdb::LockRank::kSlowQueryLog};
   std::deque<SlowQueryRecord> slow_log_;  // bounded ring, oldest first
-  std::deque<std::string> trace_log_;     // rendered traces, same ring rank
   mutable mctdb::OrderedMutex inflight_mu_{
       mctdb::LockRank::kInFlightTable};
   std::map<uint64_t, InFlightEntry> inflight_;  // trace id -> running task
@@ -423,13 +425,18 @@ class QueryService::Session
         durable_(durable), breaker_(breaker), plan_cache_(plan_cache),
         fingerprint_(fingerprint) {}
 
-  /// Shared admission tail of Submit and SubmitQuery: verification gates
-  /// (skipped for verified cached plans), breaker, hard limit, shedding,
-  /// then the strand enqueue. `holder` (may be null) rides on the task.
+  /// Shared tail of Submit and SubmitQuery: verification gates (skipped
+  /// for verified cached plans), then Admit. `holder` (may be null) rides
+  /// on the task.
   mctdb::Result<QueryFuture> SubmitPlanned(
       const mctdb::query::QueryPlan& plan,
       std::shared_ptr<const CachedPlan> holder, double timeout_seconds,
       Priority priority, bool pre_verified, uint64_t trace_id);
+  /// The one admission path for queries and updates: breaker, hard limit,
+  /// shedding (never for kHigh), counters, deadline, then the strand
+  /// enqueue. `task` carries the plan or op, its trace id and label; a
+  /// refusal is logged in the slow-query ring and returned.
+  mctdb::Status Admit(Task task, double timeout_seconds, Priority priority);
 
   // The session deliberately does NOT cache the store or pool pointers: a
   // maintenance rebase swaps both, so every request resolves the current

@@ -4,8 +4,26 @@
 
 #include <string>
 
+#include "common/json.h"
+
 namespace mctsvc {
 namespace {
+
+/// The value of `family`'s single sample in a RenderJson document.
+double OnlyValue(const std::string& json, const std::string& family) {
+  auto doc = mctdb::json::Parse(json);
+  if (!doc.ok() || doc->Find("families") == nullptr) {
+    ADD_FAILURE() << "not a RenderJson document: " << json;
+    return -1;
+  }
+  for (const mctdb::json::Value& f : doc->Find("families")->array()) {
+    if (f.StringOr("name", "") != family) continue;
+    EXPECT_EQ(f.Find("samples")->array().size(), 1u) << family;
+    return f.Find("samples")->array().at(0).NumberOr("value", -1);
+  }
+  ADD_FAILURE() << family << " missing from " << json;
+  return -1;
+}
 
 TEST(LatencyHistogramTest, SampleOnBucketBoundaryStaysInThatBucket) {
   // `le` means less-OR-EQUAL: a sample of exactly 1 us belongs to the
@@ -44,35 +62,30 @@ TEST(LatencyHistogramTest, OverflowSamplesLandInLastBucket) {
   EXPECT_EQ(h.count(), 2u);
 }
 
-TEST(LatencyHistogramTest, QuantileReturnsBucketUpperBound) {
-  LatencyHistogram h;
-  for (int i = 0; i < 100; ++i) h.Record(3e-6);  // bucket le=4us
-  // The estimate is the containing bucket's upper bound: conservative,
-  // never below the true quantile.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 4e-6);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 4e-6);
-  EXPECT_DOUBLE_EQ(LatencyHistogram().Quantile(0.5), 0.0);
-}
-
 TEST(LatencyHistogramTest, JsonBucketsAreCumulative) {
   LatencyHistogram h;
   h.Record(1e-6);   // le=1
   h.Record(1e-6);   // le=1
   h.Record(4e-6);   // le=4
-  std::string json = h.ToJson();
-  // Cumulative `le` semantics: the le=4 entry counts all three samples.
-  EXPECT_NE(json.find("{\"le\":1,\"count\":2}"), std::string::npos) << json;
-  EXPECT_NE(json.find("{\"le\":4,\"count\":3}"), std::string::npos) << json;
-  EXPECT_EQ(json.find("{\"le\":2,"), std::string::npos)
-      << "empty buckets are elided: " << json;
+  std::string json = RenderJson({h.ToFamily("test_latency_seconds", "t")});
+  // Cumulative `le` semantics (le in seconds): the le=4us entry counts all
+  // three samples, and the empty le=2us bucket repeats the running total.
+  for (const char* sample :
+       {"{\"suffix\":\"_bucket\",\"labels\":{\"le\":\"1e-06\"},\"value\":2}",
+        "{\"suffix\":\"_bucket\",\"labels\":{\"le\":\"2e-06\"},\"value\":2}",
+        "{\"suffix\":\"_bucket\",\"labels\":{\"le\":\"4e-06\"},\"value\":3}",
+        "{\"suffix\":\"_bucket\",\"labels\":{\"le\":\"+Inf\"},\"value\":3}",
+        "{\"suffix\":\"_count\",\"value\":3}"}) {
+    EXPECT_NE(json.find(sample), std::string::npos) << sample << " in " << json;
+  }
 }
 
 TEST(LatencyHistogramTest, PrometheusExpositionIsCumulativeWithInf) {
   LatencyHistogram h;
   h.Record(1e-6);
   h.Record(5000.0);  // overflow bucket
-  std::string text;
-  h.AppendPrometheus(&text, "test_latency_seconds");
+  std::string text = RenderPrometheus(
+      {h.ToFamily("test_latency_seconds", "Request latency histogram")});
   EXPECT_NE(text.find("# TYPE test_latency_seconds histogram"),
             std::string::npos);
   EXPECT_NE(text.find("test_latency_seconds_bucket{le=\"1e-06\"} 1"),
@@ -88,17 +101,17 @@ TEST(ServiceMetricsTest, ToJsonIncludesAttributionCounters) {
   m.page_hits.store(7);
   m.page_misses.store(3);
   m.slow_queries.store(1);
-  std::string json = m.ToJson();
-  EXPECT_NE(json.find("\"page_hits\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"page_misses\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"slow_queries\":1"), std::string::npos);
+  std::string json = RenderJson(m.Families());
+  EXPECT_EQ(OnlyValue(json, "mctsvc_page_hits_total"), 7);
+  EXPECT_EQ(OnlyValue(json, "mctsvc_page_misses_total"), 3);
+  EXPECT_EQ(OnlyValue(json, "mctsvc_slow_queries_total"), 1);
 }
 
-TEST(ServiceMetricsTest, ToPrometheusEmitsCounterSeries) {
+TEST(ServiceMetricsTest, RenderPrometheusEmitsCounterSeries) {
   ServiceMetrics m;
   m.submitted.store(5);
   m.page_misses.store(9);
-  std::string text = m.ToPrometheus();
+  std::string text = RenderPrometheus(m.Families());
   EXPECT_NE(text.find("mctsvc_requests_submitted_total 5"),
             std::string::npos);
   EXPECT_NE(text.find("mctsvc_page_misses_total 9"), std::string::npos);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/json.h"
 #include "design/designer.h"
 #include "instance/materialize.h"
 #include "query/planner.h"
@@ -353,6 +354,17 @@ TEST_F(QueryServiceTest, SlowQueryLogRecordsStageBreakdown) {
   EXPECT_GT(slow[0].stages[size_t(mctdb::obs::StageKind::kTagScan)].calls,
             0u);
   EXPECT_EQ(service.metrics().slow_queries.load(), 1u);
+  // The record carries the request's span tree, and /slowlog renders it.
+  EXPECT_EQ(slow[0].trace.trace_id, r->trace.trace_id);
+  EXPECT_EQ(slow[0].trace.children.size(), r->trace.children.size());
+  auto slowlog = mctdb::json::Parse(service.SlowQueriesJson());
+  ASSERT_TRUE(slowlog.ok()) << slowlog.status().ToString();
+  const mctdb::json::Value& record =
+      slowlog->Find("slow_queries")->array().at(0);
+  ASSERT_NE(record.Find("trace"), nullptr);
+  EXPECT_EQ(record.Find("trace")->NumberOr("trace_id", 0),
+            double(r->trace.trace_id));
+  EXPECT_EQ(record.NumberOr("trace_id", 0), double(r->trace.trace_id));
 
   // The ring is bounded: a third entry evicts the oldest.
   QueryPlan q3 = Plan("Q3");
@@ -407,10 +419,17 @@ TEST_F(QueryServiceTest, MetricsJsonExportsServiceAndPoolStats) {
   ASSERT_TRUE(service.AddStore("tpcw", store_).ok());
   ASSERT_TRUE(service.Execute("tpcw", plan).ok());
   std::string json = service.MetricsJson();
+  ASSERT_TRUE(mctdb::json::Parse(json).ok()) << json;
   for (const char* key :
-       {"\"submitted\"", "\"completed\"", "\"rejected\"",
-        "\"deadline_exceeded\"", "\"latency\"", "\"stores\"", "\"tpcw\"",
-        "\"shards\"", "\"hits\"", "\"misses\""}) {
+       {"\"mctsvc_requests_submitted_total\"",
+        "\"mctsvc_requests_completed_total\"",
+        "\"mctsvc_requests_rejected_total\"",
+        "\"mctsvc_deadline_exceeded_total\"",
+        "\"mctsvc_request_latency_seconds\"", "\"store\":\"tpcw\"",
+        "\"mctsvc_pool_hits_total\"", "\"mctsvc_pool_misses_total\"",
+        "\"mctsvc_pool_capacity_pages\"", "\"mctsvc_pool_shard_hits_total\"",
+        "\"mctsvc_pool_shard_misses_total\"",
+        "{\"store\":\"tpcw\",\"shard\":\"0\"}"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
 }
@@ -590,6 +609,66 @@ TEST_F(QueryServiceTest, PastDeadlineAtDequeueIsNeitherShedNorBreakerFood) {
   EXPECT_TRUE(after->get().ok());
 }
 
+TEST_F(QueryServiceTest, UpdateAdmissionRefusesAtHardLimitAndOpenBreaker) {
+  auto durable = mctdb::wal::DurableStore::Ephemeral(
+      mctdb::instance::Materialize(*logical_, *schema_));
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  std::vector<mctdb::mct::MctSchema> schemas{*schema_};
+  mctdb::workload::UpdateGenOptions gen;
+  gen.num_ops = 8;
+  auto ops = mctdb::workload::GenerateUpdateOps(schemas, *logical_, gen);
+  ASSERT_GE(ops.size(), 4u);
+
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.max_queued = 2;
+  options.start_paused = true;  // the admitted updates stay queued
+  options.breaker_failure_threshold = 1;
+  options.slow_query_seconds = 1000.0;  // log admission refusals
+  QueryService service(options);
+  ASSERT_TRUE(service.AddDurableStore("tpcw", durable->get()).ok());
+  auto session = service.OpenSession("tpcw");
+  ASSERT_TRUE(session.ok());
+
+  auto u1 = (*session)->SubmitUpdate(ops[0]);
+  ASSERT_TRUE(u1.ok()) << u1.status().ToString();
+  auto u2 = (*session)->SubmitUpdate(ops[1]);
+  ASSERT_TRUE(u2.ok()) << u2.status().ToString();
+  // Updates ride at kHigh: past every shedding watermark, only the hard
+  // limit refuses them.
+  auto u3 = (*session)->SubmitUpdate(ops[2]);
+  ASSERT_FALSE(u3.ok());
+  EXPECT_TRUE(u3.status().IsResourceExhausted()) << u3.status().ToString();
+  const ServiceMetrics& m = service.metrics();
+  EXPECT_EQ(m.rejected.load(), 1u);
+  EXPECT_EQ(m.sheds.load(), 0u);
+  EXPECT_EQ(m.updates_submitted.load(), 2u);
+  auto log = service.SlowQueries();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].outcome, "rejected");
+
+  // An open breaker refuses before the admission queue is touched.
+  CircuitBreaker* breaker = service.breaker("tpcw");
+  ASSERT_NE(breaker, nullptr);
+  breaker->RecordFailure();
+  ASSERT_EQ(breaker->state(), CircuitBreaker::State::kOpen);
+  auto u4 = (*session)->SubmitUpdate(ops[3]);
+  ASSERT_FALSE(u4.ok());
+  EXPECT_TRUE(u4.status().IsUnavailable()) << u4.status().ToString();
+  EXPECT_EQ(m.breaker_rejections.load(), 1u);
+  EXPECT_EQ(m.rejected.load(), 1u);
+  EXPECT_EQ(m.updates_submitted.load(), 2u);
+  log = service.SlowQueries();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[1].outcome, "breaker");
+
+  // The breaker gates admission only: the two queued updates still run.
+  service.Resume();
+  EXPECT_TRUE(u1->get().ok());
+  EXPECT_TRUE(u2->get().ok());
+  service.Drain();
+}
+
 TEST_F(QueryServiceTest, MetricsTextExportsHardeningSeries) {
   QueryPlan plan = Plan("Q1");
   QueryService service;  // default options: breaker enabled (threshold 5)
@@ -607,11 +686,20 @@ TEST_F(QueryServiceTest, MetricsTextExportsHardeningSeries) {
         << series << " missing from:\n" << text;
   }
   std::string json = service.MetricsJson();
-  for (const char* key : {"\"sheds\"", "\"breaker_rejections\"",
-                          "\"breaker\"", "\"checksum_failures\"",
-                          "\"retries\"", "\"quarantined\""}) {
+  for (const char* key :
+       {"\"mctsvc_sheds_total\"", "\"mctsvc_breaker_rejections_total\"",
+        "\"mctsvc_breaker_state\"", "\"mctsvc_pool_checksum_failures_total\"",
+        "\"mctsvc_pool_retries_total\"", "\"mctsvc_pool_quarantined_total\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
+  // Breaker state is the same 0/1/2 gauge in both exports.
+  const size_t breaker = json.find("\"name\":\"mctsvc_breaker_state\"");
+  ASSERT_NE(breaker, std::string::npos) << json;
+  EXPECT_EQ(json.find("\"samples\":[{\"labels\":{\"store\":\"tpcw\"},"
+                      "\"value\":0}]",
+                      breaker),
+            json.find("\"samples\":", breaker))
+      << json;
 }
 
 TEST_F(QueryServiceTest, StaticallyEmptyQueryIsPrunedToZeroIo) {

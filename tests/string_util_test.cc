@@ -77,6 +77,11 @@ TEST(ParseUint64Test, ValidAndInvalid) {
   EXPECT_FALSE(ParseUint64("", &v));
   EXPECT_FALSE(ParseUint64("12a", &v));
   EXPECT_FALSE(ParseUint64("-3", &v));
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  // One past UINT64_MAX must not wrap around to a small value.
+  EXPECT_FALSE(ParseUint64("18446744073709551617", &v));
+  EXPECT_FALSE(ParseUint64("99999999999999999999999", &v));
 }
 
 TEST(HashTest, StableAndSensitive) {

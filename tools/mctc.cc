@@ -46,6 +46,7 @@
 //                                             stores with background
 //                                             maintenance and mounts
 //                                             POST /update?store=NAME&count=K
+//                                             (K in 1..1000)
 //                                             serving the deterministic U1-U3
 //                                             stream through the admission
 //                                             pipeline
@@ -970,9 +971,6 @@ int CmdBench(int argc, char** argv) {
   return 0;
 }
 
-// Drives the emulated workload of an ER design through the query service
-// with the HTTP observability endpoint live, so /metrics, /healthz,
-// /slowlog and /tracez can be scraped while real queries execute.
 /// Pulls `key=value` out of an HTTP query string ("store=X&count=2").
 std::string QueryParam(const std::string& query, const std::string& key) {
   size_t pos = 0;
@@ -989,6 +987,14 @@ std::string QueryParam(const std::string& query, const std::string& key) {
   return std::string();
 }
 
+/// Most update ops one POST /update applies. The listener serves
+/// connections one at a time, so a larger batch would stall every scrape.
+constexpr uint64_t kMaxUpdatesPerPost = 1000;
+
+// Drives the emulated workload of an ER design through the query service
+// with the HTTP observability endpoint live, so /metrics, /metrics.json,
+// /healthz, /slowlog, /statusz and /flightz can be scraped while real
+// queries execute.
 int CmdServe(int argc, char** argv) {
   const char* path = nullptr;
   int port = 8080;
@@ -1092,7 +1098,6 @@ int CmdServe(int argc, char** argv) {
   mctsvc::ServiceOptions options;
   options.num_threads = threads;
   options.http_port = port;
-  options.trace_log_capacity = 16;
   options.slow_query_seconds = 1e-4;  // populate /slowlog under toy loads
   if (updates) {
     // Self-maintenance with toy-sized thresholds so the smoke workload
@@ -1153,10 +1158,15 @@ int CmdServe(int argc, char** argv) {
             response.body = "{\"error\":\"unknown store\"}\n";
             return response;
           }
-          size_t count = 1;
-          if (std::string c = QueryParam(req.query, "count"); !c.empty()) {
-            count = std::strtoul(c.c_str(), nullptr, 10);
-            if (count == 0) count = 1;
+          uint64_t count = 1;
+          if (std::string c = QueryParam(req.query, "count");
+              !c.empty() && (!mctdb::ParseUint64(c, &count) || count == 0 ||
+                             count > kMaxUpdatesPerPost)) {
+            response.status = 400;
+            response.body = mctdb::StringPrintf(
+                "{\"error\":\"count must be an integer in 1..%llu\"}\n",
+                static_cast<unsigned long long>(kMaxUpdatesPerPost));
+            return response;
           }
           UpdateStream& cursor = it->second;
           size_t applied = 0, skipped = 0;
@@ -1216,7 +1226,7 @@ int CmdServe(int argc, char** argv) {
         });
   }
   std::printf("serving http://127.0.0.1:%u  (/metrics /metrics.json "
-              "/healthz /slowlog /tracez /statusz /flightz%s)\n",
+              "/healthz /slowlog /statusz /flightz%s)\n",
               unsigned(service.HttpPort()),
               updates ? " POST:/update" : "");
   // Scrape scripts read the port from this line; don't sit in the stdio
