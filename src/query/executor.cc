@@ -118,13 +118,14 @@ Executor::Binding Executor::ScanTag(mct::ColorId color, er::NodeId tag,
   }
   const LabelEntry* data = nullptr;
   size_t n = 0;
+  std::vector<uint32_t> ids;
   while (cursor.NextSpan(&data, &n)) {
     if (predicate == nullptr) {
       out.insert(out.end(), data, data + n);
       continue;
     }
     if (pred_name == UINT32_MAX || pred_value == UINT32_MAX) break;
-    std::vector<uint32_t> ids = ValueIds({data, n}, pred_name);
+    ValueIds({data, n}, pred_name, &ids);
     for (size_t i = 0; i < n; ++i) {
       if (ids[i] == pred_value) out.push_back(data[i]);
     }
@@ -138,14 +139,10 @@ Executor::Binding Executor::ScanTag(mct::ColorId color, er::NodeId tag,
   return out;
 }
 
-std::vector<uint32_t> Executor::ValueIds(std::span<const LabelEntry> entries,
-                                         uint32_t name_id) const {
-  std::vector<uint32_t> ids;
-  ids.reserve(entries.size());
-  for (const LabelEntry& e : entries) {
-    ids.push_back(store_->AttrValueId(e.elem, name_id, snapshot_));
-  }
-  return ids;
+void Executor::ValueIds(std::span<const LabelEntry> entries, uint32_t name_id,
+                        std::vector<uint32_t>* ids) const {
+  ids->resize(entries.size());
+  store_->AttrValueIds(entries, name_id, snapshot_, ids->data());
 }
 
 Executor::Binding Executor::ValueSemiJoin(const Binding& keep,
@@ -154,15 +151,14 @@ Executor::Binding Executor::ValueSemiJoin(const Binding& keep,
                                           std::string_view probe_attr) {
   // Hash the probe side's value ids; one membership pass over `keep` then
   // selects the result.
-  std::vector<uint32_t> probe_ids =
-      ValueIds(probe, store_->FindAttrName(probe_attr));
-  std::unordered_set<uint32_t> wanted(probe_ids.begin(), probe_ids.end());
+  std::vector<uint32_t> ids;
+  ValueIds(probe, store_->FindAttrName(probe_attr), &ids);
+  std::unordered_set<uint32_t> wanted(ids.begin(), ids.end());
   wanted.erase(UINT32_MAX);
-  std::vector<uint32_t> keep_ids =
-      ValueIds(keep, store_->FindAttrName(keep_attr));
+  ValueIds(keep, store_->FindAttrName(keep_attr), &ids);
   Binding out;
   for (size_t i = 0; i < keep.size(); ++i) {
-    if (wanted.count(keep_ids[i]) != 0) out.push_back(keep[i]);
+    if (wanted.count(ids[i]) != 0) out.push_back(keep[i]);
   }
   return out;
 }
@@ -173,8 +169,8 @@ Executor::Binding Executor::FilterPredicate(Binding in,
                       predicate.attr + "=" + predicate.value);
   span.SetCardinalityIn(in.size());
   const uint32_t value = store_->FindValue(predicate.value);
-  std::vector<uint32_t> ids =
-      ValueIds(in, store_->FindAttrName(predicate.attr));
+  std::vector<uint32_t> ids;
+  ValueIds(in, store_->FindAttrName(predicate.attr), &ids);
   Binding out;
   out.reserve(in.size());
   for (size_t i = 0; i < in.size(); ++i) {
@@ -359,6 +355,15 @@ Result<ExecResult> Executor::Execute(const QueryPlan& plan) {
     return Status::InvalidArgument("plan has no query attached");
   }
   const AssociationQuery& query = *plan.query;
+  if (query.is_update() && store_->versioned()) {
+    // An update-form query rewrites the base in place, with no WAL record
+    // and no LSN: under snapshot readers that is a torn, unlogged write.
+    // A versioned store takes its updates as logged ops instead.
+    return Status::InvalidArgument(
+        "update query " + query.name +
+        " cannot run on a versioned (WAL-backed) store; submit its update "
+        "as an UpdateOp (Session::SubmitUpdate or query::UpdateExecutor)");
+  }
   auto start_time = std::chrono::steady_clock::now();
 
   // The attribution context lives for exactly this call; every operator

@@ -86,7 +86,11 @@ class Executor {
 
   /// Returns InvalidArgument (instead of crashing) when the plan is
   /// malformed: no query attached, or a non-root pattern node without an
-  /// edge plan. Returns DataLoss when a posting page could not be read
+  /// edge plan. Also InvalidArgument, before any operator runs, for an
+  /// update-form query on a versioned store: such a query rewrites the
+  /// base in place, so it runs only on read-only stores, and a WAL-backed
+  /// store takes its updates as logged UpdateOps. Returns DataLoss when a
+  /// posting page could not be read
   /// (checksum failure surviving the pool's retries/quarantine) — the
   /// query fails cleanly; the store and service stay up.
   Result<ExecResult> Execute(const QueryPlan& plan);
@@ -107,12 +111,13 @@ class Executor {
   Binding ScanTag(mct::ColorId color, er::NodeId tag,
                   const AttrPredicate* predicate,
                   const storage::ScanBounds* bounds = nullptr);
-  /// The dictionary id of each entry's value for attribute `name_id`
-  /// (MctStore::FindAttrName), UINT32_MAX where the entry has none. The
-  /// one value compare of the executor: ids are equal iff the interned
-  /// strings are.
-  std::vector<uint32_t> ValueIds(std::span<const storage::LabelEntry> entries,
-                                 uint32_t name_id) const;
+  /// Fills *ids with the dictionary id of each entry's value for
+  /// attribute `name_id` (MctStore::FindAttrName), UINT32_MAX where the
+  /// entry has none: one MctStore::AttrValueIds call for the whole span.
+  /// The one value compare of the executor: ids are equal iff the
+  /// interned strings are.
+  void ValueIds(std::span<const storage::LabelEntry> entries,
+                uint32_t name_id, std::vector<uint32_t>* ids) const;
   /// The members of `keep` whose `keep_attr` value equals the
   /// `probe_attr` value of some member of `probe`, in `keep` order: one
   /// id/idref value join, run forward or backward.

@@ -244,8 +244,9 @@ Result<ExecResult> QueryService::Execute(const std::string& store,
                                          double timeout_seconds) {
   if (plan.query != nullptr && plan.query->is_update()) {
     return Status::InvalidArgument(
-        "update plans require an explicit session (one per store) so the "
-        "caller owns the write-serialization domain");
+        "update plans rewrite a read-only store in place and need an "
+        "explicit session (one per store); durable stores take updates "
+        "through Session::SubmitUpdate");
   }
   MCTDB_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
                          OpenSession(store));
@@ -262,8 +263,9 @@ Result<ExecResult> QueryService::ExecuteQuery(
     double timeout_seconds) {
   if (query.is_update()) {
     return Status::InvalidArgument(
-        "update queries require an explicit session (one per store) so the "
-        "caller owns the write-serialization domain");
+        "update queries rewrite a read-only store in place and need an "
+        "explicit session (one per store); durable stores take updates "
+        "through Session::SubmitUpdate");
   }
   MCTDB_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
                          OpenSession(store));

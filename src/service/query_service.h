@@ -11,8 +11,12 @@
 //   * sessions: a Session's requests execute in submission order, one at a
 //     time (a strand), while distinct sessions run in parallel on the
 //     worker pool. Read-only queries may run from any number of sessions
-//     of the same store concurrently; update plans are only legal through
-//     a session, relying on "one session per store" for exclusivity;
+//     of the same store concurrently. Update-form plans (the U-queries)
+//     rewrite a read-only store's base in place, so they are only legal
+//     through a session, relying on "one session per store" for
+//     exclusivity; on a durable store the executor refuses them with
+//     InvalidArgument, because its writes are logged UpdateOps submitted
+//     through Session::SubmitUpdate;
 //   * one N-shard ShardedBufferPool per registered store (sized by
 //     ServiceOptions::pool_pages/pool_shards), shared by all of that
 //     store's sessions; each request gets its own Executor over that pool
@@ -160,8 +164,10 @@ class QueryService {
       const std::string& store);
 
   /// One-shot convenience: submits on an ephemeral session and waits.
-  /// Rejects update plans — updates need an explicit session so the
-  /// caller owns the serialization domain. One-shots are the service's
+  /// Rejects update-form plans: on a read-only store they need an
+  /// explicit session so the caller owns the serialization domain, and a
+  /// durable store takes updates only through SubmitUpdate. One-shots are
+  /// the service's
   /// "new session" class and submit at Priority::kLow, so under overload
   /// they are shed before established sessions' work.
   mctdb::Result<mctdb::query::ExecResult> Execute(
@@ -360,7 +366,9 @@ class QueryService::Session
   /// <= 0 falls back to the service default. Under overload, requests
   /// below the current shedding watermark are refused with
   /// Status::Unavailable (retry-after hint in the message); an open
-  /// circuit breaker on this store refuses the same way.
+  /// circuit breaker on this store refuses the same way. An update-form
+  /// plan on a durable store is admitted and resolves to InvalidArgument
+  /// without touching the store.
   mctdb::Result<QueryFuture> Submit(
       const mctdb::query::QueryPlan& plan, double timeout_seconds = 0.0,
       Priority priority = Priority::kNormal);

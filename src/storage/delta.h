@@ -10,9 +10,11 @@
 //
 // Locking: `mu` guards every container. Writers (one at a time, serialized
 // by DurableStore's write mutex) take it exclusively for the short apply
-// step only — never across an fsync. Readers take it shared per lookup;
-// read-only stores skip the deltas entirely via MctStore's versioned()
-// fast path, keeping the read benchmark path untouched.
+// step only — never across an fsync. Readers take it shared per lookup,
+// and value ids once per span: MctStore::AttrValueIds resolves a whole
+// page span of entries under one shared lock. Read-only stores skip the
+// deltas entirely via MctStore's versioned() fast path, keeping the read
+// benchmark path untouched.
 #pragma once
 
 #include <cstdint>

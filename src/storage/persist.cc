@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -302,8 +303,9 @@ Status SaveStore(const MctStore& store, const std::string& path, bool sync) {
     w.U32(m.is_copy ? 1 : 0);
   }
   w.EndSection();
-  // Attrs.
-  for (const auto& list : store.attrs_) {
+  // Attrs: each element's records, in element order.
+  for (ElemId id = 0; id < store.elements_.size(); ++id) {
+    std::span<const AttrRecord> list = store.attrs(id);
     w.U32(static_cast<uint32_t>(list.size()));
     for (const AttrRecord& a : list) {
       w.U32(a.name_id);
@@ -477,22 +479,30 @@ Result<std::unique_ptr<MctStore>> LoadStore(const mct::MctSchema& schema,
   }
   MCTDB_RETURN_IF_ERROR(check_section("elements"));
 
-  // Dictionary ids are checked against the dictionaries, which follow.
+  // Straight into the flat table: one offset per element, the records in
+  // element order. Dictionary ids are checked against the dictionaries,
+  // which follow.
   uint64_t names_needed = 0;
   uint64_t values_needed = 0;
+  std::vector<uint32_t>& offsets = store->attr_offsets_;
+  std::vector<AttrRecord>& records = store->attr_records_;
+  offsets.assign(size_t{num_elements} + 1, 0);
   for (uint32_t i = 0; i < num_elements; ++i) {
     uint32_t n = r.U32();
     if (!r.ok() || n > (1u << 20)) return lost("bad attr list");
-    std::vector<AttrRecord> recs(n);
+    if (records.size() + n > UINT32_MAX) {
+      return lost("attribute record total exceeds the offset range");
+    }
     for (uint32_t a = 0; a < n; ++a) {
-      recs[a].name_id = r.U32();
-      recs[a].value_id = r.U32();
-      recs[a].has_content = r.U32() != 0;
-      names_needed = std::max(names_needed, uint64_t{recs[a].name_id} + 1);
-      values_needed = std::max(values_needed, uint64_t{recs[a].value_id} + 1);
+      AttrRecord& rec = records.emplace_back();
+      rec.name_id = r.U32();
+      rec.value_id = r.U32();
+      rec.has_content = r.U32() != 0;
+      names_needed = std::max(names_needed, uint64_t{rec.name_id} + 1);
+      values_needed = std::max(values_needed, uint64_t{rec.value_id} + 1);
     }
     if (!r.ok()) return lost("truncated attrs");
-    store->attrs_.push_back(std::move(recs));
+    offsets[i + 1] = static_cast<uint32_t>(records.size());
   }
   MCTDB_RETURN_IF_ERROR(check_section("attrs"));
 

@@ -1,6 +1,7 @@
 #include "storage/store.h"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 
@@ -45,6 +46,15 @@ void SortByLogical(std::vector<uint64_t>* pairs,
     for (uint64_t p : *pairs) (*scratch)[next[(p >> shift) & 0xFF]++] = p;
     pairs->swap(*scratch);
   }
+}
+
+/// The value id `records` hold for `name_id`; UINT32_MAX when absent.
+inline uint32_t FindValueId(std::span<const AttrRecord> records,
+                            uint32_t name_id) {
+  for (const AttrRecord& a : records) {
+    if (a.name_id == name_id) return a.value_id;
+  }
+  return UINT32_MAX;
 }
 
 }  // namespace
@@ -116,26 +126,35 @@ const std::string* MctStore::AttrValue(ElemId id, std::string_view attr_name,
   return value_id == UINT32_MAX ? nullptr : &values_[value_id];
 }
 
-uint32_t MctStore::AttrValueId(ElemId id, uint32_t name_id,
-                               Lsn snapshot) const {
-  if (name_id == UINT32_MAX) return UINT32_MAX;
-  if (versioned()) {
-    std::shared_lock lk(deltas_->mu);
-    auto it = deltas_->attr_revs.find(StoreDeltas::AttrKey(id, name_id));
-    if (it != deltas_->attr_revs.end()) {
-      // Revisions are appended in LSN order; the last one at or below the
-      // snapshot wins. Older snapshots fall through to the base record.
-      const AttrRev* best = nullptr;
-      for (const AttrRev& r : it->second) {
-        if (r.lsn <= snapshot) best = &r;
-      }
-      if (best != nullptr) return best->value_id;
+void MctStore::AttrValueIds(std::span<const LabelEntry> entries,
+                            uint32_t name_id, Lsn snapshot,
+                            uint32_t* out) const {
+  // An unknown name (UINT32_MAX) matches no record and no revision.
+  for (size_t i = 0; i < entries.size(); ++i) {
+    out[i] = FindValueId(attrs(entries[i].elem), name_id);
+  }
+  if (!versioned()) return;
+  std::shared_lock lk(deltas_->mu);
+  const auto& revs = deltas_->attr_revs;
+  if (revs.empty()) return;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    auto it = revs.find(StoreDeltas::AttrKey(entries[i].elem, name_id));
+    if (it == revs.end()) continue;
+    // Revisions are appended in LSN order; the last one at or below the
+    // snapshot wins. Older snapshots keep the base record.
+    for (const AttrRev& r : it->second) {
+      if (r.lsn <= snapshot) out[i] = r.value_id;
     }
   }
-  for (const AttrRecord& a : attrs_[id]) {
-    if (a.name_id == name_id) return a.value_id;
-  }
-  return UINT32_MAX;
+}
+
+uint32_t MctStore::AttrValueId(ElemId id, uint32_t name_id,
+                               Lsn snapshot) const {
+  LabelEntry entry;
+  entry.elem = id;
+  uint32_t value_id = UINT32_MAX;
+  AttrValueIds({&entry, 1}, name_id, snapshot, &value_id);
+  return value_id;
 }
 
 bool MctStore::ElementLive(ElemId id, Lsn snapshot) const {
@@ -287,8 +306,8 @@ StoreStats MctStore::Stats() const {
   // full freight) + label and parent maps.
   size_t bytes = pager_.bytes();
   bytes += elements_.size() * sizeof(ElementMeta);
-  for (const auto& a : attrs_) {
-    for (const AttrRecord& rec : a) {
+  for (ElemId id = 0; id < elements_.size(); ++id) {
+    for (const AttrRecord& rec : attrs(id)) {
       bytes += sizeof(AttrRecord) + values_[rec.value_id].size();
       if (rec.has_content) bytes += 8 + values_[rec.value_id].size();
     }
@@ -327,9 +346,12 @@ void MctStore::PublishVisibleLsn(Lsn lsn) {
 
 void MctStore::UpdateAttrValue(ElemId id, uint32_t name_id,
                                std::string_view value) {
-  MCTDB_CHECK(id < elements_.size());
+  // A read-only store has only base elements, all in the flat table.
+  MCTDB_CHECK_MSG(!versioned(), "UpdateAttrValue on a versioned store");
+  MCTDB_CHECK(size_t{id} + 1 < attr_offsets_.size());
   const uint32_t value_id = InternValue(value);
-  for (AttrRecord& a : attrs_[id]) {
+  for (uint32_t i = attr_offsets_[id]; i < attr_offsets_[id + 1]; ++i) {
+    AttrRecord& a = attr_records_[i];
     if (a.name_id == name_id) {
       a.value_id = value_id;
       ++update_page_writes_;  // the element's attribute page is rewritten
@@ -337,6 +359,26 @@ void MctStore::UpdateAttrValue(ElemId id, uint32_t name_id,
     }
   }
   MCTDB_CHECK_MSG(false, "UpdateAttrValue: attribute not present");
+}
+
+ElemId MctStore::AddInsertedElement(const ElementMeta& meta,
+                                    std::span<const AttrRecord> records) {
+  const ElemId id = static_cast<ElemId>(elements_.size());
+  std::span<const AttrRecord> copy;
+  if (!records.empty()) {
+    auto* dst = reinterpret_cast<AttrRecord*>(attr_arena_.AllocateAligned(
+        records.size_bytes(), alignof(AttrRecord)));
+    std::uninitialized_copy(records.begin(), records.end(), dst);
+    copy = {dst, records.size()};
+  }
+  // Records first: every id below elements_.size() has its span published.
+  attrs_added_.push_back(copy);
+  elements_.push_back(meta);
+  for (const AttrRecord& rec : records) {
+    ++num_attribute_nodes_;
+    if (rec.has_content) ++num_content_nodes_;
+  }
+  return id;
 }
 
 // ---------------------------------------------------------------------------
@@ -359,17 +401,20 @@ ElemId StoreBuilder::AddElement(er::NodeId er_node, uint32_t logical,
                                 bool is_copy) {
   ElemId id = static_cast<ElemId>(store_->elements_.size());
   store_->elements_.push_back({er_node, logical, is_copy});
-  store_->attrs_.emplace_back();
   return id;
 }
 
 void StoreBuilder::AddAttr(ElemId elem, uint32_t name_id, uint32_t value_id,
                            bool with_content) {
+  MCTDB_CHECK(elem < store_->elements_.size());
   AttrRecord rec;
   rec.name_id = name_id;
   rec.value_id = value_id;
   rec.has_content = with_content;
-  store_->attrs_[elem].push_back(rec);
+  attrs_in_order_ = attrs_in_order_ &&
+                    (attr_elems_.empty() || attr_elems_.back() <= elem);
+  attr_records_.push_back(rec);
+  attr_elems_.push_back(elem);
   ++store_->num_attribute_nodes_;
   if (with_content) ++store_->num_content_nodes_;
 }
@@ -443,6 +488,27 @@ void StoreBuilder::EndColor() {
 
 std::unique_ptr<MctStore> StoreBuilder::Finish() {
   MCTDB_CHECK(!in_color_);
+  MCTDB_CHECK_MSG(attr_records_.size() <= UINT32_MAX,
+                  "attribute record count exceeds the offset range");
+  // Group the records by element: count each element's records, turn the
+  // counts into offsets, then scatter in AddAttr order (a stable counting
+  // sort, so each element keeps its records' order, which SaveStore
+  // writes).
+  std::vector<uint32_t>& offsets = store_->attr_offsets_;
+  offsets.assign(store_->elements_.size() + 1, 0);
+  for (ElemId elem : attr_elems_) ++offsets[size_t{elem} + 1];
+  for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  if (attrs_in_order_) {
+    store_->attr_records_ = std::move(attr_records_);
+  } else {
+    std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+    store_->attr_records_.resize(attr_records_.size());
+    for (size_t i = 0; i < attr_records_.size(); ++i) {
+      store_->attr_records_[next[attr_elems_[i]]++] = attr_records_[i];
+    }
+  }
+  attr_records_ = {};
+  attr_elems_ = {};
   store_->BuildKeyIndex();
   store_->pool_ = std::make_unique<ShardedBufferPool>(
       &store_->pager_, options_.buffer_pool_pages, /*num_shards=*/1);

@@ -5,7 +5,13 @@
 //   * an element table (one record per stored element; an element shared by
 //     several colors is stored once — MCT's core economy; redundant
 //     placements of non-NN schemas are separate "copy" elements);
-//   * attribute and content-node records hanging off elements;
+//   * attribute and content-node records hanging off elements, in one flat
+//     table: attr_records_ holds every base element's records grouped by
+//     element id (each group in the order the records were added), and
+//     element e's group is attr_records_[attr_offsets_[e] ..
+//     attr_offsets_[e + 1]). Elements created by updates keep theirs in an
+//     append-only side list until a checkpoint compacts them into a new
+//     base, the same split key_index_ and key_index_added use;
 //   * per (color, tag) posting lists of (start, end, level) interval labels
 //     in document order, paged through the Pager and read through the
 //     store's one-shard ShardedBufferPool — the input to structural joins;
@@ -155,17 +161,31 @@ class MctStore {
   // -- element access -------------------------------------------------------
   size_t num_elements() const { return elements_.size(); }
   const ElementMeta& element(ElemId id) const { return elements_[id]; }
-  const std::vector<AttrRecord>& attrs(ElemId id) const {
-    return attrs_[id];
+  /// The element's attribute records as built, in the order they were
+  /// added (renames on a versioned store are not applied; AttrValueIds
+  /// applies them). Lock-free for base and inserted elements alike.
+  std::span<const AttrRecord> attrs(ElemId id) const {
+    const size_t base = attr_offsets_.size() - 1;
+    if (id < base) {
+      return {attr_records_.data() + attr_offsets_[id],
+              attr_records_.data() + attr_offsets_[id + 1]};
+    }
+    return attrs_added_[id - base];
   }
   /// Attribute value by name at snapshot `snapshot`; nullptr when absent.
   const std::string* AttrValue(ElemId id, std::string_view attr_name,
                                Lsn snapshot = kMaxLsn) const;
-  /// Dictionary id of the element's value for attribute `name_id` at
-  /// `snapshot`; UINT32_MAX when absent. Values are interned once
+  /// The one value-id lookup: out[i] receives the dictionary id of
+  /// entries[i].elem's value for attribute `name_id` at `snapshot`, or
+  /// UINT32_MAX when the element has none. Values are interned once
   /// store-wide (updates intern through the same dictionary), so id
   /// equality IS value equality — the batched join/filter paths compare
-  /// ids and never touch the strings.
+  /// ids and never touch the strings. A whole page span resolves in one
+  /// loop over the flat table; a versioned store takes deltas()->mu
+  /// shared once per call, not once per entry.
+  void AttrValueIds(std::span<const LabelEntry> entries, uint32_t name_id,
+                    Lsn snapshot, uint32_t* out) const;
+  /// AttrValueIds on one element.
   uint32_t AttrValueId(ElemId id, uint32_t name_id,
                        Lsn snapshot = kMaxLsn) const;
   /// True when the element exists at `snapshot` (base elements always do;
@@ -223,10 +243,10 @@ class MctStore {
   /// Monotonically advances visible_lsn (no-op for smaller values).
   void PublishVisibleLsn(Lsn lsn);
 
-  // -- update support (used by query::UpdateEngine) --------------------------
-  /// Overwrite an attribute value in place. Charges one page write.
-  /// Legacy single-threaded path; the versioned path goes through
-  /// storage::ApplyUpdateOp instead.
+  // -- update support (update-form queries, query::Executor) -----------------
+  /// Overwrite an attribute value in its flat record, in place. Charges
+  /// one page write. Legacy single-threaded path for read-only stores
+  /// only; a versioned store takes updates through storage::ApplyUpdateOp.
   void UpdateAttrValue(ElemId id, uint32_t name_id, std::string_view value);
   uint64_t update_page_writes() const { return update_page_writes_; }
 
@@ -246,6 +266,11 @@ class MctStore {
   uint32_t InternValue(std::string_view value);
   /// Rebuilds key_index_ from elements_ in time linear in their number.
   void BuildKeyIndex();
+  /// Appends an element created by an update, with `records` copied into
+  /// the side list; returns its id. The caller holds deltas_->mu
+  /// exclusively.
+  ElemId AddInsertedElement(const ElementMeta& meta,
+                            std::span<const AttrRecord> records);
   /// Base elements of (er_node, logical) in id order: the key index's one
   /// accessor (deltas not applied).
   std::span<const ElemId> BaseElementsFor(er::NodeId er_node,
@@ -256,7 +281,14 @@ class MctStore {
   std::unique_ptr<ShardedBufferPool> pool_;
 
   StableVector<ElementMeta> elements_;
-  StableVector<std::vector<AttrRecord>> attrs_;
+  /// The base attribute table (see the file comment): one offset per base
+  /// element plus a final end offset, and every record in element order.
+  std::vector<uint32_t> attr_offsets_{0};
+  std::vector<AttrRecord> attr_records_;
+  /// Records of elements created by updates, at id - base element count;
+  /// each span points into attr_arena_, which never moves its blocks.
+  StableVector<std::span<const AttrRecord>> attrs_added_;
+  Arena attr_arena_;
 
   StableVector<std::string> attr_names_;
   DictIndex attr_name_index_;
@@ -333,6 +365,14 @@ class StoreBuilder {
   std::vector<LabelEntry> entries_;  // all entries, Enter order
   std::vector<size_t> entry_tag_;    // parallel: tag of each entry
   std::vector<ElemId> entry_parent_;  // parallel: parent of each entry
+
+  /// Attribute records in AddAttr order and the element of each. Finish
+  /// groups them into the store's flat table with a stable counting sort
+  /// on the element id; records that arrived in element order (every
+  /// materialization and compaction) are moved over unsorted.
+  std::vector<AttrRecord> attr_records_;
+  std::vector<ElemId> attr_elems_;
+  bool attrs_in_order_ = true;
 };
 
 }  // namespace mctdb::storage

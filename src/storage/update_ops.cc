@@ -368,7 +368,7 @@ class UpdateApplier {
     if (revs != d_->attr_revs.end() && !revs->second.empty()) {
       return &s_->values_[revs->second.back().value_id];
     }
-    for (const AttrRecord& a : s_->attrs_[elem]) {
+    for (const AttrRecord& a : s_->attrs(elem)) {
       if (a.name_id == name_id) return &s_->values_[a.value_id];
     }
     return nullptr;
@@ -393,7 +393,7 @@ class UpdateApplier {
     std::unordered_set<mct::ColorId> colors;
     for (ElemId elem : elems) {
       bool has = false;
-      for (const AttrRecord& a : s_->attrs_[elem]) has |= a.name_id == name_id;
+      for (const AttrRecord& a : s_->attrs(elem)) has |= a.name_id == name_id;
       if (!has) continue;
       d_->attr_revs[StoreDeltas::AttrKey(elem, name_id)].push_back(
           {lsn_, value_id});
@@ -512,15 +512,8 @@ class UpdateApplier {
   }
 
   ElemId CreateElement(const NewNode& node, bool is_copy) {
-    ElemId id = static_cast<ElemId>(s_->elements_.size());
-    s_->elements_.push_back(
-        {node.spec->type, node.spec->logical, is_copy});
-    std::vector<AttrRecord> recs = node.attr_records;
-    for (const AttrRecord& rec : recs) {
-      ++s_->num_attribute_nodes_;
-      if (rec.has_content) ++s_->num_content_nodes_;
-    }
-    s_->attrs_.push_back(std::move(recs));
+    ElemId id = s_->AddInsertedElement(
+        {node.spec->type, node.spec->logical, is_copy}, node.attr_records);
     d_->element_created.emplace(id, lsn_);
     d_->key_index_added[node.spec->type][node.spec->logical].push_back(
         {lsn_, id});

@@ -34,7 +34,9 @@ struct RunnerOptions {
   /// equivalence holds at every point of the run. Measurement rows named
   /// "U1"/"U2"/"U3" report median op latency plus wal_appends/wal_fsyncs,
   /// and after the grid the runner re-checks read-query equivalence on
-  /// the updated stores. Update mode forces the serial grid path.
+  /// the updated stores. The workload's update-form queries are skipped:
+  /// the op stream is the durable stores' only writer. Update mode forces
+  /// the serial grid path.
   double update_fraction = 0.0;
   /// Worker threads for the measurement grid. 1 = the classic serial
   /// loop; > 1 fans the (schema x query) grid out through an

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -236,6 +237,55 @@ TEST_F(QueryServiceTest, OneShotExecuteAndUpdateRejection) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsInvalidArgument())
       << rejected.status().ToString();
+}
+
+// An update-form query on a WAL-backed store would rewrite the base in
+// place: no WAL record, no LSN, and readers pinned at an older snapshot
+// would see the new value. The executor refuses it before any operator
+// runs, so the log, the snapshot and every copy stay as they were.
+TEST_F(QueryServiceTest, UpdateQueryOnDurableStoreIsRefusedUntouched) {
+  mctdb::design::Designer designer(*graph_);
+  const mctdb::mct::MctSchema deep =
+      designer.Design(mctdb::design::Strategy::kDeep);
+  auto durable = mctdb::wal::DurableStore::Ephemeral(
+      mctdb::instance::Materialize(*logical_, deep));
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  mctdb::storage::MctStore* store = (*durable)->store();
+  auto plan = PlanQuery(*w_->Find("U3"), deep);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE(plan->query->is_update());
+
+  const mctdb::er::NodeId address = *w_->diagram.FindNode("address");
+  const mctdb::Lsn s0 = (*durable)->snapshot();
+  const uint64_t wal_bytes = (*durable)->wal_bytes();
+  auto zips = [&] {
+    std::vector<std::string> out;
+    for (mctdb::storage::ElemId e = 0; e < store->num_elements(); ++e) {
+      if (store->element(e).er_node != address) continue;
+      const std::string* zip = store->AttrValue(e, "zip", s0);
+      out.push_back(zip == nullptr ? "<none>" : *zip);
+    }
+    return out;
+  };
+  const std::vector<std::string> before = zips();
+  ASSERT_FALSE(before.empty());
+
+  QueryService service;
+  ASSERT_TRUE(service.AddDurableStore("deep", durable->get()).ok());
+  auto session = service.OpenSession("deep");
+  ASSERT_TRUE(session.ok());
+  auto future = (*session)->Submit(*plan);
+  ASSERT_TRUE(future.ok()) << future.status().ToString();
+  auto result = future->get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  service.Drain();
+
+  EXPECT_EQ((*durable)->wal_bytes(), wal_bytes);
+  EXPECT_EQ((*durable)->snapshot(), s0);
+  EXPECT_EQ(zips(), before);
+  EXPECT_EQ(store->update_page_writes(), 0u);
 }
 
 TEST_F(QueryServiceTest, ConcurrentSessionsAgreeOnReadResults) {

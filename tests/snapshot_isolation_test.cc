@@ -22,6 +22,9 @@ namespace {
 using design::Strategy;
 
 struct Fixture {
+  Fixture() = default;
+  explicit Fixture(Strategy strategy) : schema(designer.Design(strategy)) {}
+
   workload::Workload w = workload::TpcwWorkload(0.02);
   er::ErGraph graph{w.diagram};
   design::Designer designer{graph};
@@ -137,6 +140,77 @@ TEST(SnapshotIsolationTest, ConcurrentReadersMatchSerialPreUpdateRun) {
   EXPECT_EQ(divergent.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
   EXPECT_GT(durable->snapshot(), s0);  // the updates really landed
+}
+
+// Readers pinned before a stream of renames of the very attribute their
+// anchor predicate tests (DEEP's country[@name='Japan'] over every
+// redundant copy) answer as the serial pre-update run: the span lookups
+// apply each rename only at snapshots at or after its LSN.
+TEST(SnapshotIsolationTest, PinnedReadersIgnoreRenamesOfTheirPredicate) {
+  Fixture f(Strategy::kDeep);
+  auto durable = f.MakeDurable();
+  const query::AssociationQuery* q = f.w.Find("Q1");
+  ASSERT_NE(q, nullptr);
+  const er::NodeId country = *f.w.diagram.FindNode("country");
+  auto rename = [&](uint32_t c, const char* name) {
+    storage::UpdateOp op;
+    op.kind = storage::UpdateOp::Kind::kRenameValue;
+    op.target_type = country;
+    op.target_logical = c;
+    op.attr = "name";
+    op.new_value = name;
+    return op;
+  };
+
+  // The pinned snapshot already carries revisions: two countries are
+  // renamed to "Japan" before it.
+  query::UpdateExecutor exec(durable.get());
+  ASSERT_TRUE(exec.Execute(rename(0, "Japan")).ok());
+  ASSERT_TRUE(exec.Execute(rename(1, "Japan")).ok());
+  const Lsn s0 = durable->snapshot();
+  const std::vector<uint32_t> serial = f.Run(durable->store(), *q, s0);
+  ASSERT_FALSE(serial.empty());
+
+  // Then "Japan" moves from country to country, round after round.
+  std::vector<storage::UpdateOp> ops;
+  const uint32_t countries =
+      static_cast<uint32_t>(f.logical.count(country));
+  for (uint32_t round = 1; round <= 4; ++round) {
+    for (uint32_t c = 0; c < countries; ++c) {
+      ops.push_back(rename(c, (c + round) % 5 == 0 ? "Japan" : "Peru"));
+    }
+  }
+
+  storage::ShardedBufferPool pool(durable->store()->pager(), 256);
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> divergent{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      do {
+        std::vector<uint32_t> got = f.Run(durable->store(), *q, s0, &pool);
+        reads.fetch_add(1);
+        if (got != serial) divergent.fetch_add(1);
+      } while (!writer_done.load(std::memory_order_acquire));
+    });
+  }
+  for (const auto& op : ops) {
+    auto r = exec.Execute(op);
+    if (!r.ok()) {
+      ADD_FAILURE() << storage::DebugString(op) << ": "
+                    << r.status().ToString();
+      break;
+    }
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(divergent.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  // The renames landed, and the latest snapshot sees them.
+  EXPECT_EQ(durable->snapshot(), s0 + ops.size());
+  EXPECT_NE(f.Run(durable->store(), *q, durable->snapshot()), serial);
 }
 
 // Chaos: the ISSUE's fault mix — 1% clean append failures, 1% torn batch

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "design/algorithm_mc.h"
 #include "er/er_catalog.h"
 
@@ -147,6 +151,55 @@ TEST(StoreBuilderTest, KeyIndexFindsCopies) {
   EXPECT_FALSE(store->element(orig).is_copy);
   EXPECT_TRUE(store->element(copy).is_copy);
   EXPECT_TRUE(store->ElementsFor(1, 99).empty());
+}
+
+TEST(StoreBuilderTest, OutOfOrderAttrsGroupPerElementInAddOrder) {
+  Fixture f;
+  StoreBuilder builder(&f.schema, {});
+  std::vector<ElemId> elems;
+  for (uint32_t i = 0; i < 5; ++i) {
+    elems.push_back(builder.AddElement(1, i, false));
+  }
+  // Records for earlier elements arrive after later ones, interleaved;
+  // element 3 gets none.
+  const std::vector<std::pair<ElemId, std::string>> adds = {
+      {elems[2], "c1"}, {elems[0], "a1"}, {elems[4], "e1"}, {elems[2], "c2"},
+      {elems[1], "b1"}, {elems[0], "a2"}, {elems[2], "c3"}, {elems[0], "a3"}};
+  const uint32_t name = builder.InternAttrName("v");
+  for (const auto& [elem, value] : adds) {
+    builder.AddAttr(elem, name, builder.InternValue(value),
+                    /*with_content=*/value.back() == '2');
+  }
+  builder.BeginColor(0);
+  for (ElemId e : elems) {
+    builder.Enter(e);
+    builder.Leave(e);
+  }
+  builder.EndColor();
+  builder.BeginColor(1);
+  builder.EndColor();
+  auto store = builder.Finish();
+
+  const std::vector<std::vector<std::string>> want = {
+      {"a1", "a2", "a3"}, {"b1"}, {"c1", "c2", "c3"}, {}, {"e1"}};
+  for (ElemId e : elems) {
+    std::vector<std::string> got;
+    for (const AttrRecord& rec : store->attrs(e)) {
+      EXPECT_EQ(rec.name_id, name);
+      EXPECT_EQ(rec.has_content, store->value(rec.value_id).back() == '2');
+      got.push_back(store->value(rec.value_id));
+    }
+    EXPECT_EQ(got, want[e]) << "element " << e;
+  }
+  // The span lookup returns each element's first record of the name.
+  std::vector<LabelEntry> entries(elems.size());
+  for (size_t i = 0; i < elems.size(); ++i) entries[i].elem = elems[i];
+  std::vector<uint32_t> ids(entries.size());
+  store->AttrValueIds(entries, name, kMaxLsn, ids.data());
+  EXPECT_EQ(store->value(ids[0]), "a1");
+  EXPECT_EQ(store->value(ids[2]), "c1");
+  EXPECT_EQ(ids[3], UINT32_MAX);
+  EXPECT_EQ(store->Stats().num_attributes, adds.size());
 }
 
 TEST(StoreTest, AttrLookupAndUpdate) {

@@ -547,6 +547,9 @@ int CmdTrace(int argc, char** argv) {
       }
       for (const std::string& name : names) {
         const query::AssociationQuery* q = w.Find(name);
+        // The store is durable: its writes are the logged --updates ops,
+        // never an update-form query's in-place rewrite.
+        if (q->is_update()) continue;
         auto future = (*session)->SubmitQuery(*q);
         if (!future.ok()) {
           std::fprintf(stderr, "error: %s: %s\n", name.c_str(),
@@ -1247,6 +1250,8 @@ int CmdServe(int argc, char** argv) {
       std::vector<mctsvc::QueryFuture> futures;
       for (const std::string& name : w.figure_queries) {
         const query::AssociationQuery* q = w.Find(name);
+        // Durable stores take writes only through POST /update.
+        if (updates && q->is_update()) continue;
         auto plan = query::PlanQuery(*q, schemas[i]);
         if (!plan.ok()) {
           ++failed;
