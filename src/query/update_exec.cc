@@ -12,7 +12,7 @@ namespace mctdb::query {
 Result<UpdateExecResult> UpdateExecutor::Execute(
     const storage::UpdateOp& op) {
   analysis::DiagnosticReport verdict =
-      analysis::VerifyUpdate(store_->store()->schema(), op);
+      analysis::VerifyUpdate(store_->schema(), op);
   if (verdict.has_errors()) {
     return Status::InvalidArgument("update rejected by verifier:\n" +
                                    verdict.ToText());

@@ -111,36 +111,56 @@ QueryService::~QueryService() {
   pool_.reset();  // joins workers before the store registry goes away
 }
 
+QueryService::StoreView::StoreView(
+    std::shared_ptr<mctdb::storage::MctStore> pinned,
+    const ServiceOptions& options, PoolTotals* pool_totals)
+    : store(std::move(pinned)),
+      pool(std::make_unique<mctdb::storage::ShardedBufferPool>(
+          store->pager(), options.pool_pages, options.pool_shards)),
+      totals(pool_totals) {
+  folded.shard_hits.resize(pool->num_shards());
+  folded.shard_misses.resize(pool->num_shards());
+}
+
+void QueryService::PoolCounts::AddDelta(const PoolCounts& now,
+                                        const PoolCounts& base) {
+  hits += now.hits - base.hits;
+  misses += now.misses - base.misses;
+  checksum_failures += now.checksum_failures - base.checksum_failures;
+  retries += now.retries - base.retries;
+  quarantined += now.quarantined - base.quarantined;
+  for (size_t i = 0; i < shard_hits.size(); ++i) {
+    shard_hits[i] += now.shard_hits[i] - base.shard_hits[i];
+    shard_misses[i] += now.shard_misses[i] - base.shard_misses[i];
+  }
+}
+
+void QueryService::StoreView::FoldCounts() const {
+  PoolCounts now;
+  now.hits = pool->hits();
+  now.misses = pool->misses();
+  now.checksum_failures = store->pager()->checksum_failures();
+  now.retries = store->pager()->retries();
+  now.quarantined = pool->quarantined();
+  for (const auto& shard : pool->PerShard()) {
+    now.shard_hits.push_back(shard.hits);
+    now.shard_misses.push_back(shard.misses);
+  }
+  std::lock_guard<std::mutex> lock(totals->mu);
+  totals->counts.AddDelta(now, folded);
+  folded = std::move(now);
+}
+
 Status QueryService::AddStore(const std::string& name,
                               mctdb::storage::MctStore* store) {
   if (store == nullptr) {
     return Status::InvalidArgument("AddStore: null store");
   }
-  std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-  auto [it, inserted] = stores_.emplace(name, StoreEntry{});
-  if (!inserted) {
-    return Status::AlreadyExists("store '" + name + "' already registered");
-  }
-  auto view = std::make_shared<StoreView>();
-  view->store = store;
-  view->pool = std::make_shared<mctdb::storage::ShardedBufferPool>(
-      store->pager(), options_.pool_pages, options_.pool_shards);
-  it->second.view = std::move(view);
-  it->second.plan_cache =
-      std::make_unique<PlanCache>(options_.plan_cache_capacity);
-  it->second.fingerprint =
-      mctdb::storage::SchemaFingerprint(store->schema());
-  if (options_.breaker_failure_threshold > 0) {
-    CircuitBreaker::Options bopts;
-    bopts.failure_threshold = options_.breaker_failure_threshold;
-    bopts.open_seconds = options_.breaker_open_seconds;
-    it->second.breaker = std::make_unique<CircuitBreaker>(name, bopts);
-  }
-  MCTDB_LOG(kInfo, "mctsvc", "store registered",
-            {{"store", name},
-             {"pool_pages", uint64_t(options_.pool_pages)},
-             {"shards", uint64_t(it->second.view->pool->num_shards())}});
-  return Status::OK();
+  // Non-owning (aliasing an empty owner): the caller keeps the store
+  // alive for the service's lifetime.
+  return Register(name, std::shared_ptr<mctdb::storage::MctStore>(
+                            std::shared_ptr<mctdb::storage::MctStore>(), store),
+                  nullptr);
 }
 
 Status QueryService::AddDurableStore(const std::string& name,
@@ -148,20 +168,7 @@ Status QueryService::AddDurableStore(const std::string& name,
   if (store == nullptr) {
     return Status::InvalidArgument("AddDurableStore: null store");
   }
-  MCTDB_RETURN_IF_ERROR(AddStore(name, store->store()));
-  {
-    std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-    StoreEntry& entry = stores_[name];
-    entry.durable = store;
-    if (options_.maintenance_enabled) {
-      entry.maintenance = std::make_unique<mctdb::wal::MaintenanceManager>(
-          store, options_.maintenance,
-          [this, name](const mctdb::wal::MaintenanceManager::Event& event) {
-            OnMaintenanceCheckpoint(name, event);
-          });
-      entry.maintenance->Start();
-    }
-  }
+  MCTDB_RETURN_IF_ERROR(Register(name, store->PinStore(), store));
   metrics_.recovery_replayed_records.fetch_add(
       store->recovery().replayed_records, std::memory_order_relaxed);
   if (store->recovery().replayed_records > 0 ||
@@ -171,6 +178,44 @@ Status QueryService::AddDurableStore(const std::string& name,
                {"replayed", store->recovery().replayed_records},
                {"truncated_bytes", store->recovery().truncated_bytes}});
   }
+  return Status::OK();
+}
+
+Status QueryService::Register(const std::string& name,
+                              std::shared_ptr<mctdb::storage::MctStore> store,
+                              mctdb::wal::DurableStore* durable) {
+  std::lock_guard<mctdb::OrderedMutex> lock(mu_);
+  auto [it, inserted] = stores_.emplace(name, StoreEntry{});
+  if (!inserted) {
+    return Status::AlreadyExists("store '" + name + "' already registered");
+  }
+  StoreEntry& entry = it->second;
+  entry.totals = std::make_unique<PoolTotals>();
+  entry.view =
+      std::make_shared<StoreView>(std::move(store), options_, entry.totals.get());
+  entry.totals->counts = entry.view->folded;  // zeros, one per shard
+  entry.durable = durable;
+  entry.plan_cache = std::make_unique<PlanCache>(options_.plan_cache_capacity);
+  entry.fingerprint =
+      mctdb::storage::SchemaFingerprint(entry.view->store->schema());
+  if (options_.breaker_failure_threshold > 0) {
+    CircuitBreaker::Options bopts;
+    bopts.failure_threshold = options_.breaker_failure_threshold;
+    bopts.open_seconds = options_.breaker_open_seconds;
+    entry.breaker = std::make_unique<CircuitBreaker>(name, bopts);
+  }
+  if (durable != nullptr && options_.maintenance_enabled) {
+    entry.maintenance = std::make_unique<mctdb::wal::MaintenanceManager>(
+        durable, options_.maintenance,
+        [this, name](const mctdb::wal::MaintenanceManager::Event& event) {
+          OnMaintenanceCheckpoint(name, event);
+        });
+    entry.maintenance->Start();
+  }
+  MCTDB_LOG(kInfo, "mctsvc", "store registered",
+            {{"store", name},
+             {"pool_pages", uint64_t(options_.pool_pages)},
+             {"shards", uint64_t(entry.view->pool->num_shards())}});
   return Status::OK();
 }
 
@@ -187,35 +232,37 @@ Result<std::shared_ptr<QueryService::Session>> QueryService::OpenSession(
 }
 
 std::shared_ptr<const QueryService::StoreView> QueryService::CurrentView(
-    const std::string& store) const {
+    const std::string& store) {
+  // Declared before the lock so it is released after mu_: dropping the
+  // last reference frees the old pool and store.
+  std::shared_ptr<const StoreView> replaced;
   std::lock_guard<mctdb::OrderedMutex> lock(mu_);
   auto it = stores_.find(store);
-  return it == stores_.end() ? nullptr : it->second.view;
+  if (it == stores_.end()) return nullptr;
+  StoreEntry& entry = it->second;
+  // Comparing addresses is sound: the view pins its store, so that
+  // address cannot be reused while the view exists.
+  if (entry.durable != nullptr &&
+      entry.durable->store() != entry.view->store.get()) {
+    // A kRebaseLive checkpoint swapped the live store: publish a fresh
+    // (store, pool) pair. In-flight requests keep the old view alive
+    // through their shared_ptr and finish against the old store.
+    auto fresh = std::make_shared<StoreView>(entry.durable->PinStore(),
+                                             options_, entry.totals.get());
+    entry.view->FoldCounts();
+    replaced = std::exchange(entry.view, std::move(fresh));
+  }
+  return entry.view;
 }
 
 void QueryService::OnMaintenanceCheckpoint(
     const std::string& store,
     const mctdb::wal::MaintenanceManager::Event& event) {
-  PlanCache* cache = nullptr;
-  {
-    std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-    auto it = stores_.find(store);
-    if (it == stores_.end()) return;
-    StoreEntry& entry = it->second;
-    cache = entry.plan_cache.get();
-    if (event.status.ok() && event.stats.rebased &&
-        entry.durable != nullptr &&
-        entry.durable->store() != entry.view->store) {
-      // The live store was swapped under us: publish a fresh (store,
-      // pool) pair. In-flight requests keep the old view alive through
-      // their shared_ptr and finish against the retired store.
-      auto fresh = std::make_shared<StoreView>();
-      fresh->store = entry.durable->store();
-      fresh->pool = std::make_shared<mctdb::storage::ShardedBufferPool>(
-          fresh->store->pager(), options_.pool_pages, options_.pool_shards);
-      entry.view = std::move(fresh);
-    }
-  }
+  PlanCache* cache = plan_cache(store);
+  if (cache == nullptr) return;
+  // Publish the rebased store's view now, not at the next request, so the
+  // replaced view is usually dropped (and its store freed) on this thread.
+  CurrentView(store);
   // Bump even on failure — same reasoning as Checkpoint(): a half-finished
   // checkpoint may have moved state, and a spurious re-plan is cheap next
   // to a plan compiled against intervals that no longer exist. The trace
@@ -416,6 +463,11 @@ void QueryService::RunNext(const std::shared_ptr<Session>& session) {
     task.update_promise.set_value(std::move(result));
   } else {
     BeginInFlight(task.trace_id, session->store_name_, task.query_label);
+    // The request's (store, pool) pair. Released at the end of this block,
+    // after the promise is set: if a rebase replaced the view meanwhile,
+    // this may be its last reference, and no client should wait on the
+    // free.
+    std::shared_ptr<const StoreView> view;
     Result<ExecResult> result = [&]() -> Result<ExecResult> {
       switch (MCTDB_FAILPOINT("service.exec")) {
         case mctdb::failpoint::Fault::kError:
@@ -430,13 +482,10 @@ void QueryService::RunNext(const std::shared_ptr<Session>& session) {
         case mctdb::failpoint::Fault::kNone:
           break;
       }
-      // Resolve the CURRENT (store, pool) pair; holding the shared view
-      // keeps the pool alive even if a maintenance rebase publishes a new
-      // one mid-query, and the matching store stays alive in the durable
-      // store's retired list.
-      std::shared_ptr<const StoreView> view =
-          CurrentView(session->store_name_);
-      mctdb::query::Executor exec(view->store, view->pool.get());
+      // Resolve the CURRENT (store, pool) pair; holding the view keeps
+      // both alive even if a rebase publishes a new one mid-query.
+      view = CurrentView(session->store_name_);
+      mctdb::query::Executor exec(view->store.get(), view->pool.get());
       // Pin the query to the committed state as of now: updates that land
       // mid-query stay invisible, so the result is a consistent snapshot
       // (and on read-only stores this is a no-op).
@@ -828,8 +877,8 @@ Result<QueryFuture> QueryService::Session::SubmitQuery(
   // the first thing that happens to this request — already carry the id
   // `mctc trace --id` will filter on.
   const uint64_t trace_id = mctdb::obs::MintTraceId();
-  // Resolve the current view: after a maintenance rebase the visible LSN
-  // must come from the LIVE store, not a retired one whose LSN froze.
+  // Resolve the current view: after a rebase the visible LSN must come
+  // from the LIVE store, not the replaced one whose LSN froze.
   std::shared_ptr<const StoreView> view = svc->CurrentView(store_name_);
   const mctdb::mct::MctSchema& schema = view->store->schema();
   const std::string key = PlanCache::Key(
@@ -940,8 +989,8 @@ Result<UpdateFuture> QueryService::Session::SubmitUpdate(
         "updates");
   }
   if (svc->options_.verify_plans) {
-    mctdb::analysis::DiagnosticReport report = mctdb::analysis::VerifyUpdate(
-        durable_->store()->schema(), op);
+    mctdb::analysis::DiagnosticReport report =
+        mctdb::analysis::VerifyUpdate(durable_->schema(), op);
     if (report.has_errors()) {
       svc->metrics_.invalid_plans.fetch_add(1, std::memory_order_relaxed);
       return Status::InvalidArgument("update verification failed:\n" +
@@ -1119,13 +1168,19 @@ std::vector<MetricFamily> QueryService::Families() const {
   for (const auto& [name, entry] : stores_) {
     const MetricSample::Labels store{{"store", name}};
     const mctdb::storage::ShardedBufferPool& pool = *entry.view->pool;
-    const mctdb::storage::Pager& pager = *entry.view->store->pager();
-    hits.Add(store, pool.hits());
-    misses.Add(store, pool.misses());
+    // Every view's counts, the current view's folded in just now.
+    entry.view->FoldCounts();
+    PoolCounts c;
+    {
+      std::lock_guard<std::mutex> totals_lock(entry.totals->mu);
+      c = entry.totals->counts;
+    }
+    hits.Add(store, c.hits);
+    misses.Add(store, c.misses);
     resident.Add(store, uint64_t{pool.resident()});
-    checksum_failures.Add(store, pager.checksum_failures());
-    retries.Add(store, pager.retries());
-    quarantined.Add(store, pool.quarantined());
+    checksum_failures.Add(store, c.checksum_failures);
+    retries.Add(store, c.retries);
+    quarantined.Add(store, c.quarantined);
     if (entry.breaker != nullptr) {
       const CircuitBreaker::State s = entry.breaker->state();
       const uint64_t value = s == CircuitBreaker::State::kClosed     ? 0
@@ -1139,8 +1194,8 @@ std::vector<MetricFamily> QueryService::Families() const {
     for (size_t i = 0; i < shards.size(); ++i) {
       MetricSample::Labels shard = store;
       shard.emplace_back("shard", std::to_string(i));
-      shard_hits.Add(shard, shards[i].hits);
-      shard_misses.Add(shard, shards[i].misses);
+      shard_hits.Add(shard, c.shard_hits[i]);
+      shard_misses.Add(shard, c.shard_misses[i]);
       shard_resident.Add(shard, uint64_t{shards[i].resident});
     }
     if (entry.durable == nullptr) continue;

@@ -274,19 +274,62 @@ class QueryService {
 
  private:
   friend class Session;
+  /// What a store's pool and pager have counted: the sources of the seven
+  /// per-store counter families (pool hits, misses, checksum failures,
+  /// retries and quarantined; per-shard hits and misses).
+  struct PoolCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t checksum_failures = 0;
+    uint64_t retries = 0;
+    uint64_t quarantined = 0;
+    std::vector<uint64_t> shard_hits;
+    std::vector<uint64_t> shard_misses;
+
+    /// Adds `now - base` field by field; all three count the same store,
+    /// whose pools all have the same shard count.
+    void AddDelta(const PoolCounts& now, const PoolCounts& base);
+  };
+  /// What every view of a store had counted when it last folded its
+  /// counts in (see StoreView). Families() folds the current view in and
+  /// exports these.
+  struct PoolTotals {
+    std::mutex mu;
+    PoolCounts counts;  // guarded by mu
+  };
   /// The (store, pool) pair requests execute against. A kRebaseLive
-  /// maintenance checkpoint swaps the durable store's live MctStore; the
-  /// service then publishes a fresh view (new pool over the new store's
-  /// pager) and in-flight requests finish on the view they resolved —
-  /// the old store stays alive in DurableStore's retired list, the old
-  /// pool stays alive through this shared_ptr. Store and pool must always
-  /// be swapped together: a pool caches pages by id from ITS pager, so a
-  /// mixed pair would serve another store's bytes.
+  /// checkpoint swaps the durable store's live MctStore; CurrentView then
+  /// publishes a fresh view (the new store pinned, a new pool over its
+  /// pager) and in-flight requests finish on the view they resolved. A
+  /// view pins its store, so the store a rebase replaced is freed when its
+  /// view is dropped, after the last in-flight request on it. Store and
+  /// pool must always be swapped together: a pool caches pages by id from
+  /// ITS pager, so a mixed pair would serve another store's bytes.
+  ///
+  /// A view adds what it counted since its last fold to its store's
+  /// PoolTotals at every Families() call while current, when it is
+  /// replaced and, for requests that finished on it after that, when it is
+  /// destroyed, so no exported counter goes backwards across a rebase.
   struct StoreView {
-    mctdb::storage::MctStore* store = nullptr;
-    std::shared_ptr<mctdb::storage::ShardedBufferPool> pool;
+    StoreView(std::shared_ptr<mctdb::storage::MctStore> pinned,
+              const ServiceOptions& options, PoolTotals* pool_totals);
+    ~StoreView() { FoldCounts(); }
+    StoreView(const StoreView&) = delete;
+    StoreView& operator=(const StoreView&) = delete;
+
+    /// Adds what the pool and the pager counted since the previous fold
+    /// to `totals`.
+    void FoldCounts() const;
+
+    /// Owning for a durable store; non-owning for a read-only one.
+    std::shared_ptr<mctdb::storage::MctStore> store;
+    std::unique_ptr<mctdb::storage::ShardedBufferPool> pool;
+    PoolTotals* totals;  // owned by the StoreEntry, which outlives its views
+    mutable PoolCounts folded;  // already added to totals; see FoldCounts
   };
   struct StoreEntry {
+    /// Declared before `view` so it is destroyed after it.
+    std::unique_ptr<PoolTotals> totals;
     std::shared_ptr<const StoreView> view;  // current pair; swapped on rebase
     mctdb::wal::DurableStore* durable = nullptr;  // null for read-only
     std::unique_ptr<CircuitBreaker> breaker;  // null when disabled
@@ -302,13 +345,23 @@ class QueryService {
     std::unique_ptr<mctdb::wal::MaintenanceManager> maintenance;
   };
 
+  /// Registers `store` under `name`: its view, plan cache and breaker.
+  /// `durable` is null for a read-only store.
+  mctdb::Status Register(const std::string& name,
+                         std::shared_ptr<mctdb::storage::MctStore> store,
+                         mctdb::wal::DurableStore* durable);
   /// The store's current view, or null if unknown. Sessions resolve this
-  /// per request instead of caching raw pointers across rebases.
-  std::shared_ptr<const StoreView> CurrentView(const std::string& store) const;
+  /// per request instead of caching raw pointers across rebases. The one
+  /// routine that publishes views: when a durable store's live store is
+  /// no longer the one its view pins (a kRebaseLive checkpoint ran), it
+  /// publishes a fresh view and drops the replaced one after releasing
+  /// mu_.
+  std::shared_ptr<const StoreView> CurrentView(const std::string& store);
   /// MaintenanceManager completion callback (runs on the maintenance
-  /// thread): publishes a fresh view after a live rebase, bumps the plan
-  /// cache generation — even on failure, mirroring Checkpoint() — and
-  /// records the generation-bump flight event under the cycle's trace id.
+  /// thread): publishes a fresh view after a live rebase (so the replaced
+  /// view is usually dropped here, not on a worker), bumps the plan cache
+  /// generation — even on failure, mirroring Checkpoint() — and records
+  /// the generation-bump flight event under the cycle's trace id.
   void OnMaintenanceCheckpoint(
       const std::string& store,
       const mctdb::wal::MaintenanceManager::Event& event);
@@ -397,11 +450,6 @@ class QueryService::Session
       const mctdb::storage::UpdateOp& op, double timeout_seconds = 0.0);
 
   const std::string& store_name() const { return store_name_; }
-  /// The store's CURRENT sharded pool (owned by the service). The pointer
-  /// is stable until the next maintenance rebase publishes a fresh pool.
-  mctdb::storage::ShardedBufferPool* pool() const {
-    return service_->CurrentView(store_name_)->pool.get();
-  }
 
  private:
   friend class QueryService;
@@ -447,8 +495,8 @@ class QueryService::Session
   mctdb::Status Admit(Task task, double timeout_seconds, Priority priority);
 
   // The session deliberately does NOT cache the store or pool pointers: a
-  // maintenance rebase swaps both, so every request resolves the current
-  // StoreView through the service instead. The remaining raw pointers
+  // rebase swaps both, so every request resolves the current StoreView
+  // through the service instead. The remaining raw pointers
   // (durable store, breaker, plan cache) are stable for the service's
   // lifetime.
   QueryService* service_;

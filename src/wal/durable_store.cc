@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "analysis/query_analyze.h"
 #include "common/failpoint.h"
@@ -24,10 +25,9 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Open(
   ds->path_ = path;
   ds->options_ = options;
   MCTDB_ASSIGN_OR_RETURN(
-      ds->store_,
+      std::unique_ptr<storage::MctStore> loaded,
       storage::LoadStoreWithRetry(schema, path, options.store));
-  ds->store_->EnableVersioning();
-  ds->live_store_.store(ds->store_.get(), std::memory_order_release);
+  ds->Install(std::move(loaded));
   uint64_t fingerprint = storage::SchemaFingerprint(schema);
   MCTDB_ASSIGN_OR_RETURN(
       ds->recovery_,
@@ -46,14 +46,13 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Create(
   std::unique_ptr<DurableStore> ds(new DurableStore());
   ds->path_ = path;
   ds->options_ = options;
-  ds->store_ = std::move(store);
   // Atomic create: build the image beside `path`, durably discard any
   // stale log, and only then rename the image into place. Until the
   // rename no new image is visible, so no crash point can pair a fresh
   // image with an old WAL whose fingerprint matches (same schema) — the
   // next Open would replay that stale history onto the new image.
   std::string tmp = path + ".create.tmp";
-  Status saved = storage::SaveStore(*ds->store_, tmp, /*sync=*/true);
+  Status saved = storage::SaveStore(*store, tmp, /*sync=*/true);
   if (!saved.ok()) {
     std::remove(tmp.c_str());
     return saved;
@@ -71,9 +70,8 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Create(
     return Status::IoError("durable store: create rename failed");
   }
   MCTDB_RETURN_IF_ERROR(storage::SyncParentDir(path));
-  ds->store_->EnableVersioning();
-  ds->live_store_.store(ds->store_.get(), std::memory_order_release);
-  uint64_t fingerprint = storage::SchemaFingerprint(ds->store_->schema());
+  ds->Install(std::move(store));
+  uint64_t fingerprint = storage::SchemaFingerprint(ds->schema());
   MCTDB_ASSIGN_OR_RETURN(
       ds->log_, LogWriter::Open(WalPath(path), fingerprint,
                                 /*checkpoint_lsn=*/kNoLsn,
@@ -85,15 +83,20 @@ Result<std::unique_ptr<DurableStore>> DurableStore::Ephemeral(
     std::unique_ptr<storage::MctStore> store, const Options& options) {
   std::unique_ptr<DurableStore> ds(new DurableStore());
   ds->options_ = options;
-  ds->store_ = std::move(store);
-  ds->store_->EnableVersioning();
-  ds->live_store_.store(ds->store_.get(), std::memory_order_release);
-  uint64_t fingerprint = storage::SchemaFingerprint(ds->store_->schema());
+  ds->Install(std::move(store));
+  uint64_t fingerprint = storage::SchemaFingerprint(ds->schema());
   MCTDB_ASSIGN_OR_RETURN(ds->log_,
                          LogWriter::Open("", fingerprint,
                                          /*checkpoint_lsn=*/kNoLsn,
                                          /*durable_lsn=*/kNoLsn));
   return ds;
+}
+
+void DurableStore::Install(std::unique_ptr<storage::MctStore> store) {
+  store->EnableVersioning();
+  schema_ = &store->schema();
+  live_store_.store(store.get(), std::memory_order_release);
+  store_ = std::move(store);
 }
 
 Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
@@ -168,8 +171,13 @@ Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
     span.SetCardinalityOut(log_->durable_lsn());
   }
   // Readers snapshot AFTER durability — an applied-but-unsynced op is
-  // never visible, so a crash cannot retract an observed state.
-  store->PublishVisibleLsn(lsn);
+  // never visible, so a crash cannot retract an observed state. `store`
+  // may have been replaced and freed since the unlock: publish on the live
+  // store, which a rebase published at a checkpoint LSN >= lsn already.
+  {
+    std::lock_guard pin(pin_mu_);
+    store_->PublishVisibleLsn(lsn);
+  }
   return ApplyReceipt{lsn, applied.value()};
 }
 
@@ -225,6 +233,11 @@ Result<CheckpointStats> DurableStore::Checkpoint(CheckpointMode mode) {
   if (obs::CurrentTraceId() == 0) {
     trace_scope.emplace(obs::MintTraceId());
   }
+  // The store this checkpoint stops using: the one a rebase replaces, or
+  // the image-only compaction. Declared before the lock so it is released
+  // after write_mu_; if no reader pins it, that frees it, and the free
+  // must not block writers.
+  std::shared_ptr<storage::MctStore> dropped;
   std::lock_guard lk(write_mu_);
   flight::Record(flight::Subsystem::kCheckpoint,
                  flight::Site::kCheckpointBegin, obs::CurrentTraceId(),
@@ -299,20 +312,22 @@ Result<CheckpointStats> DurableStore::Checkpoint(CheckpointMode mode) {
   if (mode == CheckpointMode::kRebaseLive) {
     // The interval-label rebalance: swap the live store to the compacted
     // image, whose StoreBuilder pass relabeled every color with fresh
-    // stride gaps. The old store is retired, not destroyed — readers that
-    // resolved it before this point finish on an immutable snapshot;
-    // correctness argument in DESIGN.md §17.
+    // stride gaps. Readers that pinned the old store finish on an
+    // immutable snapshot; correctness argument in DESIGN.md §17.
     compact->EnableVersioning();
     if (stats.checkpoint_lsn != kNoLsn) {
       compact->PublishVisibleLsn(stats.checkpoint_lsn);
     }
-    storage::MctStore* fresh = compact.get();
-    retired_.push_back(std::move(store_));
-    store_ = std::move(compact);
-    live_store_.store(fresh, std::memory_order_release);
+    {
+      std::lock_guard pin(pin_mu_);
+      live_store_.store(compact.get(), std::memory_order_release);
+      dropped = std::exchange(store_, std::move(compact));
+    }
     min_free_gap_.store(UINT32_MAX, std::memory_order_relaxed);
     rebases_.fetch_add(1, std::memory_order_relaxed);
     stats.rebased = true;
+  } else {
+    dropped = std::move(compact);
   }
   flight::Record(flight::Subsystem::kCheckpoint,
                  flight::Site::kCheckpointEnd, obs::CurrentTraceId(),

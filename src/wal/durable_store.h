@@ -34,13 +34,16 @@
 //     kRebaseLive: additionally SWAPS the live store to the compacted
 //       image — the interval-label REBALANCE. The compacted store carries
 //       fresh stride gaps (StoreBuilder relabels every color), so inserts
-//       that were ResourceExhausted succeed afterwards. The previous
-//       store is RETIRED, not destroyed: readers that resolved store()
-//       before the swap finish their queries against an immutable,
-//       still-consistent snapshot; new readers resolve the rebased store
-//       at the checkpoint LSN. Callers holding raw MctStore*/pager
-//       pointers across checkpoints (the query service's buffer pools)
-//       must refresh them — the maintenance callback is the hook.
+//       that were ResourceExhausted succeed afterwards. The live store is
+//       shared-owned: a reader that can race a rebase pins the store it
+//       reads (PinStore) and finishes its queries against an immutable,
+//       still-consistent snapshot, while new readers resolve the rebased
+//       store at the checkpoint LSN. The replaced store is freed when its
+//       last pin is released; the checkpoint drops its own reference only
+//       after releasing the write mutex. Callers holding raw
+//       MctStore*/pager pointers across checkpoints (the query service's
+//       buffer pools) must pin and refresh them — the query service
+//       compares store() with the store its view pins on every request.
 //
 //   Degraded modes: a WAL that can no longer append or fsync makes the
 //   store refuse writes with Unavailable while reads keep serving at the
@@ -62,7 +65,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/lsn.h"
 #include "obs/exec_stats.h"
@@ -113,15 +115,31 @@ class DurableStore {
       std::unique_ptr<storage::MctStore> store,
       const Options& options = {});
 
-  /// The underlying store. Readers take store()->visible_lsn() as their
-  /// snapshot and pass it to the versioned accessors / MergedPostingCursor.
-  /// A kRebaseLive checkpoint swaps this pointer; the previous store stays
-  /// alive (retired) so already-resolved readers finish safely.
+  /// The live store, by a lock-free load. Readers take its visible_lsn()
+  /// as their snapshot and pass it to the versioned accessors /
+  /// MergedPostingCursor. The pointer is valid only until the next
+  /// kRebaseLive checkpoint, which swaps it and may free the store it
+  /// replaced: use it only where no checkpoint can run concurrently
+  /// (tests, `mctc`, a benchmark after its service stopped). A reader that
+  /// can race a rebase takes PinStore() instead.
   storage::MctStore* store() const {
     return live_store_.load(std::memory_order_acquire);
   }
+  /// The live store, shared: it stays alive while the returned pointer
+  /// does, across any number of rebases. Takes a small mutex; pin once per
+  /// view, not once per query.
+  std::shared_ptr<storage::MctStore> PinStore() const {
+    std::lock_guard lk(pin_mu_);
+    return store_;
+  }
+  /// The schema every store of this durable store is built on (it
+  /// outlives the durable store, see Open).
+  const mct::MctSchema& schema() const { return *schema_; }
   /// Snapshot new readers should use (last durable LSN).
-  Lsn snapshot() const { return store()->visible_lsn(); }
+  Lsn snapshot() const {
+    std::lock_guard lk(pin_mu_);
+    return store_->visible_lsn();
+  }
 
   struct ApplyReceipt {
     Lsn lsn = kNoLsn;
@@ -200,13 +218,18 @@ class DurableStore {
   Result<ApplyReceipt> ApplyOnce(const storage::UpdateOp& op,
                                  obs::ExecStats* stats);
 
+  /// Sets store_, live_store_ and schema_ from a freshly opened store.
+  void Install(std::unique_ptr<storage::MctStore> store);
+
   std::string path_;  // empty = ephemeral
   Options options_;
-  std::unique_ptr<storage::MctStore> store_;
-  std::atomic<storage::MctStore*> live_store_{nullptr};
-  /// Stores replaced by kRebaseLive checkpoints, kept alive for readers
-  /// that resolved them before the swap. Bounded by the checkpoint count.
-  std::vector<std::unique_ptr<storage::MctStore>> retired_;
+  const mct::MctSchema* schema_ = nullptr;
+  /// The live store, shared with every reader that pinned it. Written
+  /// (by a kRebaseLive checkpoint) under both write_mu_ and pin_mu_, so
+  /// either one makes reading it safe.
+  std::shared_ptr<storage::MctStore> store_;
+  mutable std::mutex pin_mu_;
+  std::atomic<storage::MctStore*> live_store_{nullptr};  // store_.get()
   std::unique_ptr<LogWriter> log_;
   RecoveryStats recovery_;
   std::atomic<MaintenanceManager*> maintenance_{nullptr};

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "instance/logical.h"
 #include "instance/materialize.h"
 #include "obs/trace_id.h"
+#include "query/executor.h"
+#include "query/planner.h"
 #include "storage/persist.h"
 #include "wal/durable_store.h"
 
@@ -217,6 +220,68 @@ TEST_F(MaintenanceTest, WalRecordsThresholdTriggersCheckpoint) {
   EXPECT_NE(callback_trace.load(), 0u);
   mm.Stop();
   EXPECT_GE((*d)->rebases(), 1u);
+}
+
+// A pinned store outlives the rebases that replace it and still answers
+// at its own snapshot; a replaced store nobody pins is freed by the
+// checkpoint that replaced it, and a pinned one when its pin is released.
+TEST_F(MaintenanceTest, PinnedStoreOutlivesTheRebasesThatReplaceIt) {
+  auto d = DurableStore::Ephemeral(
+      instance::Materialize(*logical_, *schema_, {WideStride().store}),
+      WideStride());
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  query::QueryBuilder builder("posts", *diagram_);
+  builder.Root("post");
+  const query::AssociationQuery posts = builder.Build();
+  auto plan = query::PlanQuery(posts, *schema_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto answer = [&](storage::MctStore* store, Lsn snapshot) {
+    query::Executor exec(store);
+    exec.set_snapshot(snapshot);
+    auto r = exec.Execute(*plan);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->logicals : std::vector<uint32_t>{};
+  };
+
+  MaintenanceOptions options = QuietOptions();
+  options.wal_records_threshold = 1;  // one rebase per insert
+  // Counted when the maintenance thread has booked the checkpoint: an
+  // insert applied before that would be counted into it and fire none.
+  std::atomic<uint64_t> checkpoints{0};
+  MaintenanceManager mm(d->get(), options,
+                        [&](const MaintenanceManager::Event&) {
+                          ++checkpoints;
+                        });
+  mm.Start();
+  ASSERT_TRUE((*d)->Apply(MakeInsert(0)).ok());
+  ASSERT_TRUE(WaitFor([&] { return checkpoints == 1; }));
+  ASSERT_EQ((*d)->rebases(), 1u);
+  std::shared_ptr<storage::MctStore> pinned = (*d)->PinStore();
+  const Lsn pinned_lsn = pinned->visible_lsn();
+  const std::vector<uint32_t> before = answer(pinned.get(), pinned_lsn);
+  ASSERT_FALSE(before.empty());
+  const std::weak_ptr<storage::MctStore> first = pinned;
+  std::weak_ptr<storage::MctStore> second;
+  for (int k = 1; k <= 2; ++k) {
+    ASSERT_TRUE((*d)->Apply(MakeInsert(k)).ok());
+    // Read the pinned store while the background checkpoint replaces the
+    // live one.
+    ASSERT_TRUE(WaitFor([&] {
+      EXPECT_EQ(answer(pinned.get(), pinned_lsn), before);
+      return checkpoints == uint64_t(k) + 1;
+    }));
+    ASSERT_EQ((*d)->rebases(), uint64_t(k) + 1);
+    if (k == 1) second = (*d)->PinStore();
+  }
+  mm.Stop();  // joins the thread: the last checkpoint has returned
+
+  EXPECT_TRUE(second.expired())
+      << "a replaced store no reader pins is freed by its checkpoint";
+  EXPECT_FALSE(first.expired());
+  EXPECT_EQ(answer(pinned.get(), pinned_lsn), before);
+  EXPECT_EQ(answer((*d)->store(), (*d)->snapshot()).size(), before.size() + 2);
+  pinned.reset();
+  EXPECT_TRUE(first.expired());
 }
 
 TEST_F(MaintenanceTest, WalBytesThresholdTriggersCheckpoint) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +29,93 @@ using mctdb::query::ExecResult;
 using mctdb::query::PlanQuery;
 using mctdb::query::QueryPlan;
 
+/// The seven per-store counter families that pool and pager counts feed.
+constexpr const char* kPoolCounterFamilies[] = {
+    "mctsvc_pool_hits_total",         "mctsvc_pool_misses_total",
+    "mctsvc_pool_checksum_failures_total", "mctsvc_pool_retries_total",
+    "mctsvc_pool_quarantined_total",  "mctsvc_pool_shard_hits_total",
+    "mctsvc_pool_shard_misses_total"};
+
+/// Polls `pred` until it holds; false after `seconds`.
+template <typename Pred>
+bool WaitUntil(Pred pred, double seconds = 20.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Every sample of kPoolCounterFamilies, keyed "name{k=v,...}".
+std::map<std::string, uint64_t> PoolCounterSamples(
+    const QueryService& service) {
+  std::map<std::string, uint64_t> out;
+  for (const MetricFamily& f : service.Families()) {
+    if (std::find_if(std::begin(kPoolCounterFamilies),
+                     std::end(kPoolCounterFamilies), [&](const char* name) {
+                       return f.name == name;
+                     }) == std::end(kPoolCounterFamilies)) {
+      continue;
+    }
+    for (const MetricSample& sample : f.samples) {
+      std::string key = f.name + "{";
+      for (const auto& [k, v] : sample.labels) key += k + "=" + v + ",";
+      key += "}";
+      out[key] = std::get<uint64_t>(sample.value);
+    }
+  }
+  return out;
+}
+
+/// Threads that each run one query through their own session until
+/// stopped, summing what the answers report. Stops on destruction, so a
+/// failed assertion in the test body does not leave them running.
+class Readers {
+ public:
+  /// `service` and `query` must outlive the readers.
+  Readers(QueryService& service, const std::string& store,
+          const mctdb::query::AssociationQuery& query, int threads) {
+    for (int t = 0; t < threads; ++t) {
+      threads_.emplace_back([&service, store, &query, this] {
+        auto session = service.OpenSession(store);
+        EXPECT_TRUE(session.ok()) << session.status().ToString();
+        while (session.ok() && !done_.load()) {
+          auto f = (*session)->SubmitQuery(query);
+          auto r = f.ok() ? f->get() : mctdb::Result<ExecResult>(f.status());
+          if (!r.ok()) {
+            ADD_FAILURE() << r.status().ToString();
+            break;
+          }
+          ++reads;
+          page_hits += r->page_hits;
+          page_misses += r->page_misses;
+        }
+      });
+    }
+  }
+  ~Readers() { Stop(); }
+  Readers(const Readers&) = delete;
+  Readers& operator=(const Readers&) = delete;
+
+  /// Ends every thread after its current query.
+  void Stop() {
+    done_ = true;
+    for (std::thread& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> page_hits{0};
+  std::atomic<uint64_t> page_misses{0};
+
+ private:
+  std::atomic<bool> done_{false};
+  std::vector<std::thread> threads_;  // last: uses the members above
+};
+
 /// One small TPC-W store (EN schema) plus ready-made plans, shared across
 /// all service tests in this file.
 class QueryServiceTest : public testing::Test {
@@ -48,6 +137,70 @@ class QueryServiceTest : public testing::Test {
     delete schema_;
     delete graph_;
     delete w_;
+  }
+
+  /// DEEP over the shared instance as an ephemeral durable store (DEEP
+  /// repeats country under every address, so a rename touches many
+  /// elements).
+  static std::unique_ptr<mctdb::wal::DurableStore> DeepDurable(
+      const mctdb::mct::MctSchema& deep) {
+    auto durable = mctdb::wal::DurableStore::Ephemeral(
+        mctdb::instance::Materialize(*logical_, deep));
+    EXPECT_TRUE(durable.ok()) << durable.status().ToString();
+    return durable.ok() ? std::move(*durable) : nullptr;
+  }
+
+  /// U3: country `logical` renamed to `name`.
+  static mctdb::storage::UpdateOp RenameCountry(uint32_t logical,
+                                                std::string name) {
+    mctdb::storage::UpdateOp op;
+    op.kind = mctdb::storage::UpdateOp::Kind::kRenameValue;
+    op.target_type = *w_->diagram.FindNode("country");
+    op.target_logical = logical;
+    op.attr = "name";
+    op.new_value = std::move(name);
+    return op;
+  }
+
+  /// Maintenance on, checkpointing (and so rebasing) after every update.
+  static ServiceOptions RebaseEveryUpdate() {
+    ServiceOptions options;
+    options.num_threads = 4;
+    options.maintenance_enabled = true;
+    options.maintenance.wal_records_threshold = 1;
+    options.maintenance.poll_seconds = 0.002;
+    return options;
+  }
+
+  /// Renames countries through `writer` until `durable` has rebased
+  /// `target` times, calling `poll` about once a millisecond meanwhile.
+  /// Each update waits for its checkpoint's maintenance callback (which
+  /// bumps `cache`'s generation), not just for its rebase: an update
+  /// applied before the maintenance thread has booked the previous
+  /// checkpoint is counted into that one and fires none of its own.
+  static testing::AssertionResult UpdateUntilRebased(
+      QueryService::Session& writer, const mctdb::wal::DurableStore& durable,
+      const PlanCache& cache, uint64_t target,
+      const std::function<void()>& poll) {
+    for (uint32_t i = 0; durable.rebases() < target; ++i) {
+      const uint64_t generation = cache.generation();
+      // Named: the request refers to it until its future is ready.
+      const mctdb::storage::UpdateOp op =
+          RenameCountry(i % 30, "Renamed" + std::to_string(i));
+      auto f = writer.SubmitUpdate(op);
+      if (!f.ok()) return testing::AssertionFailure() << f.status().ToString();
+      auto r = f->get();
+      if (!r.ok()) return testing::AssertionFailure() << r.status().ToString();
+      if (!WaitUntil([&] {
+            poll();
+            return cache.generation() > generation;
+          })) {
+        return testing::AssertionFailure()
+               << "no checkpoint after update " << i << "; "
+               << durable.rebases() << " rebases";
+      }
+    }
+    return testing::AssertionSuccess();
   }
 
   static QueryPlan Plan(const char* name) {
@@ -375,10 +528,10 @@ TEST_F(QueryServiceTest, ConcurrentSessionsChargePagesToTheirOwnQuery) {
   }
   service.Drain();
   // Conservation: every pool fetch is charged to exactly one query, so
-  // the per-query counts sum to the shared pool's global counters.
-  auto* pool = sessions[0]->pool();
-  EXPECT_EQ(sum_hits, pool->hits());
-  EXPECT_EQ(sum_misses, pool->misses());
+  // the per-query counts sum to the store's pool counters.
+  std::map<std::string, uint64_t> counters = PoolCounterSamples(service);
+  EXPECT_EQ(sum_hits, counters["mctsvc_pool_hits_total{store=tpcw,}"]);
+  EXPECT_EQ(sum_misses, counters["mctsvc_pool_misses_total{store=tpcw,}"]);
   EXPECT_EQ(service.metrics().page_hits.load(), sum_hits);
   EXPECT_EQ(service.metrics().page_misses.load(), sum_misses);
 }
@@ -1078,6 +1231,131 @@ TEST_F(QueryServiceTest, PlanCacheUnderConcurrentReadersAndWriter) {
             reads.load());
   EXPECT_GT(m.plan_cache_invalidations.load(), 0u)
       << "the staged commit between two identical queries must invalidate";
+}
+
+// A kRebaseLive checkpoint the service did not drive (no maintenance
+// manager: the operator checkpoints by hand) must still reach its
+// readers: the next request reads the rebased store, so an update
+// acknowledged after the checkpoint is visible.
+TEST_F(QueryServiceTest, RequestsReadTheStoreARebaseSwappedIn) {
+  const mctdb::mct::MctSchema deep =
+      mctdb::design::Designer(*graph_).Design(mctdb::design::Strategy::kDeep);
+  std::unique_ptr<mctdb::wal::DurableStore> durable = DeepDurable(deep);
+  ASSERT_NE(durable, nullptr);
+  QueryService service;
+  ASSERT_TRUE(service.AddDurableStore("deep", durable.get()).ok());
+  auto session = service.OpenSession("deep");
+  ASSERT_TRUE(session.ok());
+  auto rename_to_japan = [&](uint32_t country) {
+    const mctdb::storage::UpdateOp op = RenameCountry(country, "Japan");
+    auto f = (*session)->SubmitUpdate(op);
+    EXPECT_TRUE(f.ok()) << f.status().ToString();
+    if (!f.ok()) return mctdb::kNoLsn;
+    auto r = f->get();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->lsn : mctdb::kNoLsn;
+  };
+  auto served_q1 = [&] {
+    auto f = (*session)->SubmitQuery(*w_->Find("Q1"));
+    EXPECT_TRUE(f.ok()) << f.status().ToString();
+    if (!f.ok()) return std::vector<uint32_t>{};
+    auto r = f->get();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->logicals : std::vector<uint32_t>{};
+  };
+
+  EXPECT_EQ(rename_to_japan(0), 1u);
+  const std::vector<uint32_t> before = served_q1();
+  ASSERT_TRUE(
+      durable->Checkpoint(mctdb::wal::CheckpointMode::kRebaseLive).ok());
+  EXPECT_EQ(rename_to_japan(1), 2u);
+  const std::vector<uint32_t> after = served_q1();
+
+  auto plan = PlanQuery(*w_->Find("Q1"), deep);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  mctdb::query::Executor exec(durable->store());
+  exec.set_snapshot(durable->snapshot());
+  auto direct = exec.Execute(*plan);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(after, direct->logicals);
+  EXPECT_GT(after.size(), before.size())
+      << "the rename acknowledged after the checkpoint must show";
+}
+
+// The per-store pool families are counters: a rebase gives the store a
+// fresh pool, and the old pool's counts, including those of reads that
+// finish on it after the swap, stay in the exported totals.
+TEST_F(QueryServiceTest, PoolCountersNeverGoBackwardsAcrossRebases) {
+  const mctdb::mct::MctSchema deep =
+      mctdb::design::Designer(*graph_).Design(mctdb::design::Strategy::kDeep);
+  std::unique_ptr<mctdb::wal::DurableStore> durable = DeepDurable(deep);
+  ASSERT_NE(durable, nullptr);
+  QueryService service(RebaseEveryUpdate());
+  ASSERT_TRUE(service.AddDurableStore("deep", durable.get()).ok());
+  auto writer = service.OpenSession("deep");
+  ASSERT_TRUE(writer.ok());
+
+  Readers readers(service, "deep", *w_->Find("Q1"), 2);
+  std::map<std::string, uint64_t> last = PoolCounterSamples(service);
+  size_t scrapes = 0;
+  auto scrape = [&] {
+    std::map<std::string, uint64_t> now = PoolCounterSamples(service);
+    for (const auto& [key, value] : last) {
+      EXPECT_GE(now[key], value) << key << " went backwards";
+    }
+    last = std::move(now);
+    ++scrapes;
+  };
+  // Scrapes while each checkpoint runs and the readers move to the new
+  // view.
+  ASSERT_TRUE(UpdateUntilRebased(**writer, *durable,
+                                 *service.plan_cache("deep"), 3, scrape));
+  readers.Stop();
+  service.Drain();
+  scrape();
+  EXPECT_GE(scrapes, 4u);
+  EXPECT_EQ(last["mctsvc_pool_hits_total{store=deep,}"],
+            readers.page_hits.load());
+  EXPECT_EQ(last["mctsvc_pool_misses_total{store=deep,}"],
+            readers.page_misses.load());
+}
+
+// Each store a rebase replaces is freed once the last request on it is
+// done: after the readers stop, the live store is the only one left.
+TEST_F(QueryServiceTest, StoresARebaseReplacedAreFreedAfterTheirLastReader) {
+  const mctdb::mct::MctSchema deep =
+      mctdb::design::Designer(*graph_).Design(mctdb::design::Strategy::kDeep);
+  std::unique_ptr<mctdb::wal::DurableStore> durable = DeepDurable(deep);
+  ASSERT_NE(durable, nullptr);
+  QueryService service(RebaseEveryUpdate());
+  ASSERT_TRUE(service.AddDurableStore("deep", durable.get()).ok());
+  auto writer = service.OpenSession("deep");
+  ASSERT_TRUE(writer.ok());
+
+  Readers readers(service, "deep", *w_->Find("Q1"), 4);
+  // One weak reference per store the durable store has served.
+  std::vector<std::weak_ptr<mctdb::storage::MctStore>> seen{
+      durable->PinStore()};
+  uint64_t rebases_seen = 0;
+  ASSERT_TRUE(UpdateUntilRebased(
+      **writer, *durable, *service.plan_cache("deep"), 10, [&] {
+        if (durable->rebases() > rebases_seen) {
+          rebases_seen = durable->rebases();
+          seen.push_back(durable->PinStore());
+        }
+      }));
+  readers.Stop();
+  service.Drain();
+  EXPECT_GT(readers.reads.load(), 0u);
+  EXPECT_EQ(service.metrics().failed.load(), 0u);
+  const std::shared_ptr<mctdb::storage::MctStore> live = durable->PinStore();
+  size_t alive = 0;
+  for (const std::weak_ptr<mctdb::storage::MctStore>& store : seen) {
+    if (store.lock() == live) continue;
+    alive += !store.expired();
+  }
+  EXPECT_EQ(seen.size(), 11u);
+  EXPECT_EQ(alive, 0u) << "of " << seen.size() << " stores seen";
 }
 
 TEST(ParallelRunnerTest, MatchesSerialRunMeasurementForMeasurement) {
