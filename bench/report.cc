@@ -1,12 +1,13 @@
 #include "bench/report.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/json.h"
-#include "common/log.h"
 #include "common/string_util.h"
 #include "obs/trace_export.h"
 
@@ -14,17 +15,15 @@ namespace mctdb::bench {
 
 namespace {
 
-void AppendNumber(std::string* out, double v) {
-  // Integral values print bare so counters round-trip exactly.
+/// The one form a number takes in a report: integral values print bare
+/// so counters round-trip exactly, others with 9 significant digits. The
+/// gate compares extras in this form, so a value equals its written and
+/// re-parsed copy.
+std::string FormatNumber(double v) {
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    *out += buf;
-  } else {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    *out += buf;
+    return StringPrintf("%.0f", v);
   }
+  return StringPrintf("%.9g", v);
 }
 
 const double* FindExtra(const QueryRecord& r, const std::string& name) {
@@ -54,8 +53,7 @@ void AppendRecord(std::string* out, const QueryRecord& r) {
     for (const auto& [name, value] : r.extra) {
       if (!first) *out += ',';
       first = false;
-      *out += "\"" + obs::JsonEscape(name) + "\":";
-      AppendNumber(out, value);
+      *out += "\"" + obs::JsonEscape(name) + "\":" + FormatNumber(value);
     }
     *out += '}';
   }
@@ -107,6 +105,12 @@ Result<BenchReport> ReportFromJson(const json::Value& v) {
     MCTDB_ASSIGN_OR_RETURN(QueryRecord r, RecordFromJson(rec));
     report.records.push_back(std::move(r));
   }
+  if (const json::Value* problems = v.Find("problems");
+      problems != nullptr && problems->is_array()) {
+    for (const json::Value& p : problems->array()) {
+      if (p.is_string()) report.problems.push_back(p.str());
+    }
+  }
   return report;
 }
 
@@ -124,6 +128,14 @@ const QueryRecord* BenchReport::Find(const std::string& schema,
   return nullptr;
 }
 
+QueryRecord& BenchReport::Add(std::string schema, std::string query) {
+  QueryRecord& r = records.emplace_back();
+  r.schema = std::move(schema);
+  r.query = std::move(query);
+  r.reps = reps;
+  return r;
+}
+
 std::string BenchReport::ToJson() const {
   std::string out = "{\"bench\":\"" + obs::JsonEscape(bench) + "\"";
   char buf[64];
@@ -137,44 +149,17 @@ std::string BenchReport::ToJson() const {
     first = false;
     AppendRecord(&out, r);
   }
-  out += "]}";
-  return out;
-}
-
-JsonReporter::JsonReporter(std::string bench_name, double scale,
-                           size_t reps) {
-  report_.bench = std::move(bench_name);
-  report_.scale = scale;
-  report_.reps = reps;
-}
-
-QueryRecord& JsonReporter::Add(std::string schema, std::string query) {
-  QueryRecord r;
-  r.schema = std::move(schema);
-  r.query = std::move(query);
-  r.reps = report_.reps;
-  report_.records.push_back(std::move(r));
-  return report_.records.back();
-}
-
-Status JsonReporter::WriteTo(const std::string& path) const {
-  std::string text = report_.ToJson();
-  text += '\n';
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return Status::OK();
+  out += ']';
+  if (!problems.empty()) {
+    out += ",\"problems\":[";
+    for (size_t i = 0; i < problems.size(); ++i) {
+      if (i > 0) out += ',';
+      out += "\"" + obs::JsonEscape(problems[i]) + "\"";
+    }
+    out += ']';
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
-  out << text;
-  out.flush();
-  if (!out) return Status::IoError("short write to " + path);
-  MCTDB_LOG(kInfo, "bench", "report written",
-            {{"bench", report_.bench},
-             {"path", path},
-             {"records", uint64_t(report_.records.size())},
-             {"scale", report_.scale}});
-  return Status::OK();
+  out += '}';
+  return out;
 }
 
 Result<BenchReport> ParseBenchReport(std::string_view json_text) {
@@ -193,6 +178,105 @@ Result<BenchReport> LoadBenchReport(const std::string& path) {
                                    parsed.status().ToString());
   }
   return parsed;
+}
+
+std::string RenderText(const BenchReport& report) {
+  // Rows and columns in first-appearance order.
+  std::vector<std::string> queries, schemas, extras;
+  auto note = [](std::vector<std::string>* seen, const std::string& name) {
+    if (std::find(seen->begin(), seen->end(), name) == seen->end()) {
+      seen->push_back(name);
+    }
+  };
+  for (const QueryRecord& r : report.records) {
+    note(&queries, r.query);
+    note(&schemas, r.schema);
+    for (const auto& [name, value] : r.extra) note(&extras, name);
+  }
+  std::string out =
+      StringPrintf("%s: scale %g, reps %zu, %zu records\n",
+                   report.bench.c_str(), report.scale, report.reps,
+                   report.records.size());
+  // `cell` renders one record's value, or nullopt when it has none. Rows
+  // and columns without any value are left out.
+  auto grid = [&](const std::string& title, auto cell) {
+    std::vector<std::string> labels = {title};
+    std::vector<std::vector<std::string>> rows = {{}};
+    for (const std::string& q : queries) {
+      std::vector<std::string> row;
+      bool any = false;
+      for (const std::string& s : schemas) {
+        const QueryRecord* r = report.Find(s, q);
+        std::optional<std::string> text;
+        if (r != nullptr) text = cell(*r);
+        row.push_back(text.value_or(""));
+        any |= text.has_value();
+      }
+      if (!any) continue;
+      labels.push_back(q);
+      rows.push_back(std::move(row));
+    }
+    std::vector<size_t> columns;
+    std::vector<size_t> widths;
+    for (size_t j = 0; j < schemas.size(); ++j) {
+      size_t width = 0;
+      for (size_t i = 1; i < rows.size(); ++i) {
+        width = std::max(width, rows[i][j].size());
+      }
+      if (width == 0) continue;
+      columns.push_back(j);
+      widths.push_back(std::max(width, schemas[j].size()));
+      rows[0].push_back(schemas[j]);
+    }
+    size_t label_width = 0;
+    for (const std::string& label : labels) {
+      label_width = std::max(label_width, label.size());
+    }
+    out += '\n';
+    for (size_t i = 0; i < rows.size(); ++i) {
+      std::string line = StringPrintf("%-*s", int(label_width),
+                                      labels[i].c_str());
+      for (size_t k = 0; k < columns.size(); ++k) {
+        const std::string& text = i == 0 ? rows[0][k] : rows[i][columns[k]];
+        line += StringPrintf("  %*s", int(widths[k]), text.c_str());
+      }
+      line.erase(line.find_last_not_of(' ') + 1);
+      out += line + '\n';
+    }
+  };
+  auto counter_grid = [&](const char* title, uint64_t QueryRecord::*field) {
+    for (const QueryRecord& r : report.records) {
+      if (r.*field != 0) {
+        grid(title, [&](const QueryRecord& rec) {
+          return std::optional<std::string>(FormatNumber(double(rec.*field)));
+        });
+        return;
+      }
+    }
+  };
+  for (const QueryRecord& r : report.records) {
+    if (r.median_seconds != 0) {
+      grid("median_us", [](const QueryRecord& rec) {
+        return std::optional<std::string>(
+            StringPrintf("%.1f", rec.median_seconds * 1e6));
+      });
+      break;
+    }
+  }
+  counter_grid("page_hits", &QueryRecord::page_hits);
+  counter_grid("page_misses", &QueryRecord::page_misses);
+  counter_grid("join_pairs", &QueryRecord::join_pairs);
+  for (const std::string& name : extras) {
+    grid(name, [&](const QueryRecord& rec) -> std::optional<std::string> {
+      const double* v = FindExtra(rec, name);
+      if (v == nullptr) return std::nullopt;
+      return FormatNumber(*v);
+    });
+  }
+  for (const std::string& problem : report.problems) {
+    out += "problem: " + problem + "\n";
+  }
+  return out;
 }
 
 std::string CombineReports(const std::vector<BenchReport>& reports) {
@@ -225,6 +309,10 @@ CheckResult CheckAgainstBaseline(const BenchReport& current,
     return result;
   }
 
+  for (const std::string& problem : current.problems) {
+    result.regressions.push_back(current.bench + ": " + problem);
+  }
+
   auto gate_counter = [&](std::string line) {
     if (options.gate_counters) {
       result.regressions.push_back(std::move(line));
@@ -245,27 +333,28 @@ CheckResult CheckAgainstBaseline(const BenchReport& current,
     }
   };
   // Extras are answers and plan shapes, not costs: they must match
-  // exactly, name for name.
+  // exactly, name for name, in the form the report writes them.
   auto check_extras = [&](const QueryRecord& cur, const QueryRecord& base) {
     for (const auto& [name, base_v] : base.extra) {
       const double* cur_v = FindExtra(cur, name);
       if (cur_v == nullptr) {
         result.regressions.push_back(StringPrintf(
-            "%s %s/%s: extra %s missing from the current run (baseline %g)",
+            "%s %s/%s: extra %s missing from the current run (baseline %s)",
             current.bench.c_str(), cur.schema.c_str(), cur.query.c_str(),
-            name.c_str(), base_v));
-      } else if (*cur_v != base_v) {
+            name.c_str(), FormatNumber(base_v).c_str()));
+      } else if (FormatNumber(*cur_v) != FormatNumber(base_v)) {
         gate_counter(StringPrintf(
-            "%s %s/%s: %s changed %g -> %g", current.bench.c_str(),
-            cur.schema.c_str(), cur.query.c_str(), name.c_str(), base_v,
-            *cur_v));
+            "%s %s/%s: %s changed %s -> %s", current.bench.c_str(),
+            cur.schema.c_str(), cur.query.c_str(), name.c_str(),
+            FormatNumber(base_v).c_str(), FormatNumber(*cur_v).c_str()));
       }
     }
     for (const auto& [name, cur_v] : cur.extra) {
       if (FindExtra(base, name) == nullptr) {
         result.regressions.push_back(StringPrintf(
-            "%s %s/%s: extra %s=%g has no baseline", current.bench.c_str(),
-            cur.schema.c_str(), cur.query.c_str(), name.c_str(), cur_v));
+            "%s %s/%s: extra %s=%s has no baseline", current.bench.c_str(),
+            cur.schema.c_str(), cur.query.c_str(), name.c_str(),
+            FormatNumber(cur_v).c_str()));
       }
     }
   };

@@ -1,17 +1,15 @@
-// The in-process benchmark registry behind `mctc bench`.
-//
-// Each registered benchmark produces one BenchReport at a chosen scale.
-// The measurement core (MeasureTpcwGrid) is the SAME code bench_table1
-// runs, so `mctc bench --json` and the standalone binary cannot drift:
-// plan with query::PlanQuery, execute on the store-owned one-shard pool
-// with query::Executor, report the median of `repetitions` runs and the
-// exact per-query I/O of the last repetition.
+// The benchmark suites behind `mctc bench`, the repository's one
+// benchmark front end. Each registered suite produces one BenchReport at
+// a chosen scale; together they regenerate the paper's evaluation
+// (Table 1, Figs 8-14) and the ablations EXPERIMENTS.md reports. Every
+// TPC-W grid runs through workload::RunWorkload; its problems (planning
+// failures, cross-schema equivalence violations) become the report's
+// `problems`, so they fail the gate.
 #pragma once
 
 #include <string_view>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "bench/report.h"
 
 namespace mctdb::bench {
@@ -31,12 +29,5 @@ struct BenchmarkDef {
 /// All registered benchmarks, in execution order.
 const std::vector<BenchmarkDef>& RegisteredBenchmarks();
 const BenchmarkDef* FindBenchmark(std::string_view name);
-
-/// Executes every figure query of `setup` on every schema, `reps` times
-/// each; one record per (schema, query) cell with the median time, the
-/// last repetition's exact I/O and join pairs, and result-count extras
-/// (unique/raw for reads, logical/element writes for updates). Planner
-/// or executor failures surface as an `error` extra of 1 on the cell.
-std::vector<QueryRecord> MeasureTpcwGrid(TpcwSetup& setup, size_t reps);
 
 }  // namespace mctdb::bench

@@ -37,6 +37,10 @@ struct CheckpointStats {
   Lsn checkpoint_lsn = kNoLsn;
   uint64_t log_bytes_trimmed = 0;
   size_t elements = 0;  ///< live elements in the compact image
+  /// The log's append count when the image was cut, read under the
+  /// store's write lock: every record it counts is in the image, and an
+  /// append acknowledged after the checkpoint released the lock is not.
+  uint64_t wal_appends = 0;
   /// True when the live in-memory store was swapped to the compacted
   /// image (CheckpointMode::kRebaseLive) — the interval-label rebalance.
   bool rebased = false;

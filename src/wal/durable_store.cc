@@ -279,6 +279,7 @@ Result<CheckpointStats> DurableStore::Checkpoint(CheckpointMode mode) {
   }
   CheckpointStats stats;
   stats.checkpoint_lsn = last_applied_;
+  stats.wal_appends = log_->appends();
   uint64_t log_bytes_before = log_->durable_bytes();
   MCTDB_ASSIGN_OR_RETURN(std::unique_ptr<storage::MctStore> compact,
                          CompactStore(*store_, options_.store));

@@ -96,7 +96,10 @@ Status MaintenanceManager::RunCheckpoint(CheckpointReason reason) {
     event.stats = r.value();
     by_reason_[static_cast<size_t>(reason)].fetch_add(
         1, std::memory_order_relaxed);
-    appends_at_last_checkpoint_ = store_->wal_appends();
+    // The count the checkpoint read under the write lock: a writer parked
+    // on that lock appends as soon as it is released, before this line
+    // runs, and its record is not in the image.
+    appends_at_last_checkpoint_ = r.value().wal_appends;
   }
   {
     std::lock_guard lk(mu_);

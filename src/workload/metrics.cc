@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "er/er_catalog.h"
 #include "query/planner.h"
 
 namespace mctdb::workload {
@@ -25,6 +26,20 @@ std::vector<QueryMetricsRow> PlanMetrics(const Workload& w,
     rows.push_back({name, schema.name(), plan->Stats()});
   }
   return rows;
+}
+
+std::vector<Workload> CollectionWorkloads() {
+  std::vector<Workload> out;
+  for (const er::ErDiagram& d : er::EvaluationCollection()) {
+    if (d.name() == "Derby") {
+      out.push_back(DerbyWorkload());
+    } else if (d.name() == "TPC-W") {
+      out.push_back(TpcwWorkload(0.01));
+    } else {
+      out.push_back(XmarkEmulatedWorkload(d));
+    }
+  }
+  return out;
 }
 
 std::vector<CollectionCell> AnalyzeCollection(

@@ -37,6 +37,11 @@ struct CollectionCell {
   size_t num_colors = 0;
 };
 
+/// The Figs 12-14 collection as workloads, in er::EvaluationCollection()
+/// order: Derby's hand-written query set, TPC-W's, and an XMark-emulated
+/// workload for every other diagram.
+std::vector<Workload> CollectionWorkloads();
+
 /// The Figs 12-14 grid: for each workload and each of the given
 /// strategies, geometric means over the workload's figure queries.
 std::vector<CollectionCell> AnalyzeCollection(

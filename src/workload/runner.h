@@ -2,8 +2,9 @@
 // designs the requested schemas, draws one logical instance, materializes a
 // store per schema, executes every query everywhere, checks logical result
 // equivalence across schemas (the §6 "equivalent content" guarantee), and
-// returns per-(schema, query) measurements. bench_table1 and downstream
-// users build on this instead of wiring the pipeline by hand.
+// returns per-(schema, query) measurements. Every TPC-W grid of
+// `mctc bench` (bench/suite.h) and downstream users build on this instead
+// of wiring the pipeline by hand.
 #pragma once
 
 #include <map>

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "bench/suite.h"
+
 namespace mctdb::bench {
 namespace {
 
@@ -61,6 +63,41 @@ TEST(BenchReportTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseBenchReport("not json").ok());
   EXPECT_FALSE(ParseBenchReport("{\"records\":3}").ok());
   EXPECT_FALSE(ParseBenchReport("[]").ok());
+}
+
+TEST(BenchReportTest, RenderTextPrintsOneGridPerValue) {
+  BenchReport r;
+  r.bench = "t";
+  r.scale = 0.1;
+  r.reps = 3;
+  QueryRecord& en = r.Add("EN", "Q1");
+  en.median_seconds = 20e-6;  // shows as 20.0 µs, not 0.0000 s
+  en.page_hits = 3;
+  en.join_pairs = 5;
+  en.Extra("unique_results", 4);
+  QueryRecord& deep = r.Add("DEEP", "Q1");
+  deep.median_seconds = 0.0015;
+  deep.page_hits = 7;
+  deep.join_pairs = 9;
+  // page_misses is 0 everywhere: no grid. DEEP has no unique_results:
+  // a blank cell, and a column with no value is left out.
+  EXPECT_EQ(RenderText(r),
+            "t: scale 0.1, reps 3, 2 records\n"
+            "\n"
+            "median_us    EN    DEEP\n"
+            "Q1         20.0  1500.0\n"
+            "\n"
+            "page_hits  EN  DEEP\n"
+            "Q1          3     7\n"
+            "\n"
+            "join_pairs  EN  DEEP\n"
+            "Q1           5     9\n"
+            "\n"
+            "unique_results  EN\n"
+            "Q1               4\n");
+  r.problems.push_back("Q2 on EN: no plan");
+  EXPECT_NE(RenderText(r).find("problem: Q2 on EN: no plan\n"),
+            std::string::npos);
 }
 
 TEST(BenchGateTest, IdenticalReportPasses) {
@@ -147,8 +184,9 @@ TEST(BenchGateTest, MissingExtraFails) {
 }
 
 TEST(BenchGateTest, ErrorExtraFails) {
-  // What a failed query records: an "error" extra, no result extras, and
-  // zero I/O and join pairs.
+  // A record whose result extras gave way to a failure marker (as
+  // `figures` records `plan_error`): no result extras, zero I/O and join
+  // pairs.
   BenchReport baseline = SampleReport();
   BenchReport current = baseline;
   QueryRecord& failed = current.records[0];
@@ -164,6 +202,56 @@ TEST(BenchGateTest, ErrorExtraFails) {
     names_error |= line.find("error") != std::string::npos;
   }
   EXPECT_TRUE(names_error);
+}
+
+TEST(BenchGateTest, NonIntegerExtraMatchesItsWrittenBaseline) {
+  // A geometric mean has no short decimal form; the report writes it with
+  // 9 significant digits, and the gate must accept that written copy.
+  BenchReport current = SampleReport();
+  current.records[0].Extra("gmean_structural_joins", 1.0 + 2.0 / 3.0);
+  auto baseline = ParseBenchReport(current.ToJson());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  CheckResult verdict = CheckAgainstBaseline(current, *baseline, {});
+  EXPECT_TRUE(verdict.ok()) << verdict.regressions.front();
+
+  // A change the written form shows still fails, and the line prints both
+  // values as the report writes them.
+  current.records[0].extra.back().second += 1e-7;
+  verdict = CheckAgainstBaseline(current, *baseline, {});
+  ASSERT_EQ(verdict.regressions.size(), 1u);
+  EXPECT_NE(verdict.regressions[0].find(
+                "gmean_structural_joins changed 1.66666667 -> 1.66666677"),
+            std::string::npos)
+      << verdict.regressions[0];
+}
+
+TEST(BenchGateTest, CollectionReportPassesAgainstItsWrittenCopy) {
+  const BenchmarkDef* collection = FindBenchmark("collection");
+  ASSERT_NE(collection, nullptr);
+  const BenchReport current = collection->fn({0.1, 1});
+  ASSERT_EQ(current.records.size(), 72u);
+  auto baseline = ParseBenchReport(current.ToJson());
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  CheckOptions options;
+  options.strict_new_records = true;
+  CheckResult verdict = CheckAgainstBaseline(current, *baseline, options);
+  EXPECT_TRUE(verdict.ok()) << verdict.regressions.size()
+                            << " regressions, first: "
+                            << verdict.regressions.front();
+}
+
+TEST(BenchGateTest, ProblemFailsAndNamesTheCell) {
+  BenchReport baseline = SampleReport();
+  EXPECT_EQ(baseline.ToJson().find("problems"), std::string::npos)
+      << "a healthy report writes no problems key";
+  BenchReport current = baseline;
+  current.problems.push_back("equivalence violation: Q1 on EN");
+  auto parsed = ParseBenchReport(current.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->problems, current.problems);
+  CheckResult verdict = CheckAgainstBaseline(*parsed, baseline, {});
+  ASSERT_EQ(verdict.regressions.size(), 1u);
+  EXPECT_NE(verdict.regressions[0].find("Q1 on EN"), std::string::npos);
 }
 
 TEST(BenchGateTest, CounterDecreaseIsANoteNotARegression) {

@@ -52,6 +52,8 @@ bad --take ""             update "$ER" --store "$TMP/store"
 bad --crash-after -2      update "$ER" --store "$TMP/store"
 bad --base x              recover "$ER" --store "$TMP/store"
 bad --reps 0              bench
+bad --scale 0             bench
+bad --scale 2x            bench
 bad --tolerance nan       bench
 bad --min-abs -0.1        bench
 

@@ -24,6 +24,8 @@
 #include "query/planner.h"
 #include "storage/persist.h"
 #include "wal/durable_store.h"
+#include "workload/update_gen.h"
+#include "workload/workload.h"
 
 namespace mctdb::wal {
 namespace {
@@ -220,6 +222,57 @@ TEST_F(MaintenanceTest, WalRecordsThresholdTriggersCheckpoint) {
   EXPECT_NE(callback_trace.load(), 0u);
   mm.Stop();
   EXPECT_GE((*d)->rebases(), 1u);
+}
+
+// A writer parked on the write lock while a checkpoint holds it appends
+// as soon as the checkpoint releases the lock, while the checkpoint is
+// still freeing the store its rebase replaced. That record is not in the
+// image, so it must count toward the next records-threshold checkpoint.
+TEST_F(MaintenanceTest, AppendParkedBehindACheckpointCountsTowardTheNext) {
+  // A DEEP TPC-W store: large enough that freeing a replaced store takes
+  // longer than the parked writer needs to append.
+  const workload::Workload w = workload::TpcwWorkload(0.3);
+  const er::ErGraph graph(w.diagram);
+  const mct::MctSchema deep =
+      design::Designer(graph).Design(Strategy::kDeep);
+  const instance::LogicalInstance logical =
+      instance::GenerateInstance(graph, w.gen);
+  std::vector<storage::UpdateOp> renames;
+  workload::UpdateGenOptions gen;
+  gen.num_ops = 32;
+  for (storage::UpdateOp& op :
+       workload::GenerateUpdateOps({deep}, logical, gen)) {
+    if (op.kind == storage::UpdateOp::Kind::kRenameValue) {
+      renames.push_back(std::move(op));
+    }
+  }
+  ASSERT_FALSE(renames.empty());
+  auto d = DurableStore::Ephemeral(instance::Materialize(logical, deep));
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  MaintenanceOptions options = QuietOptions();
+  options.wal_records_threshold = 1;
+  MaintenanceManager mm(d->get(), options);
+  // Each checkpoint sleeps 30 ms under the write lock: long enough for the
+  // second update of a round to park on it.
+  failpoint::FailpointGuard delay("wal.checkpoint", "delay(30)");
+  mm.Start();
+  size_t next = 0;
+  for (uint64_t round = 1; round <= 8; ++round) {
+    const uint64_t hits = failpoint::HitCount("wal.checkpoint");
+    ASSERT_TRUE((*d)->Apply(renames[next++ % renames.size()]).ok());
+    ASSERT_TRUE(WaitFor(
+        [&] { return failpoint::HitCount("wal.checkpoint") > hits; }));
+    ASSERT_TRUE((*d)->Apply(renames[next++ % renames.size()]).ok());
+    ASSERT_TRUE(WaitFor(
+        [&] {
+          return mm.checkpoints(CheckpointReason::kWalRecords) >= 2 * round;
+        },
+        2.0))
+        << "round " << round << ": the update parked behind checkpoint "
+        << 2 * round - 1 << " triggered no checkpoint of its own";
+  }
+  mm.Stop();
+  EXPECT_EQ(mm.checkpoints_total(), 16u);
 }
 
 // A pinned store outlives the rebases that replace it and still answers

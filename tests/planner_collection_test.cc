@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "design/designer.h"
-#include "er/er_catalog.h"
 #include "query/planner.h"
 #include "workload/metrics.h"
 
@@ -17,19 +16,8 @@ class PlannerCollectionTest
     : public testing::TestWithParam<size_t> {};  // index into collection
 
 std::vector<workload::Workload>* Workloads() {
-  static auto* workloads = [] {
-    auto* out = new std::vector<workload::Workload>();
-    for (const er::ErDiagram& d : er::EvaluationCollection()) {
-      if (d.name() == "Derby") {
-        out->push_back(workload::DerbyWorkload());
-      } else if (d.name() == "TPC-W") {
-        out->push_back(workload::TpcwWorkload(0.01));
-      } else {
-        out->push_back(workload::XmarkEmulatedWorkload(d));
-      }
-    }
-    return out;
-  }();
+  static auto* workloads =
+      new std::vector<workload::Workload>(workload::CollectionWorkloads());
   return workloads;
 }
 

@@ -33,9 +33,13 @@
 //   mctc bench    [--scale S] [--reps N] [--bench NAME] [--json]
 //                 [--out DIR] [--check] [--strict] [--tolerance T]
 //                 [--min-abs S] [--baselines DIR] [--list]
-//                                             run the registered benchmarks
-//                                             in-process, write BENCH_*.json,
-//                                             and gate against baselines
+//                                             run the benchmark suites (the
+//                                             paper's Table 1, Figs 8-14 and
+//                                             the ablations), print one grid
+//                                             per value (the combined JSON
+//                                             with --json), write
+//                                             BENCH_*.json, and gate against
+//                                             baselines
 //   mctc serve    <file.er> [--port P] [--threads N] [--base N]
 //                 [--passes N] [--linger S] [--updates] [--update-ops N]
 //                 [--label-stride N]
@@ -853,10 +857,10 @@ Status WriteText(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
-// Runs the registered in-process benchmarks (bench/suite.h; the same
-// measurement code the standalone bench binaries use), writes one
-// BENCH_<name>.json per benchmark plus a combined document, and with
-// --check gates each report against the committed baselines.
+// Runs the benchmark suites (bench/suite.h), prints each report's grids
+// (or, with --json, the combined document) to stdout, writes one
+// BENCH_<name>.json per suite plus a combined document, and with --check
+// gates each report against the committed baselines.
 int CmdBench(int argc, char** argv) {
   double scale = 1.0;
   size_t reps = 3;
@@ -874,8 +878,9 @@ int CmdBench(int argc, char** argv) {
       }
       return 0;
     } else if (!std::strcmp(argv[i], "--scale") && i + 1 < argc) {
-      if (!bench::ParseScale(argv[++i], &scale)) {
-        std::fprintf(stderr, "error: bad --scale '%s'\n", argv[i]);
+      // min() is the smallest positive double: the scale must be > 0.
+      if (!ParseFlag("--scale", argv[++i], &scale,
+                     std::numeric_limits<double>::min(), 1e6)) {
         return 1;
       }
     } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
@@ -930,6 +935,15 @@ int CmdBench(int argc, char** argv) {
     }
     std::fprintf(stderr, "wrote %s (%zu records)\n", path.c_str(),
                  report.records.size());
+    MCTDB_LOG(kInfo, "bench", "report written",
+              {{"bench", def.name},
+               {"path", path},
+               {"records", uint64_t(report.records.size())},
+               {"problems", uint64_t(report.problems.size())}});
+    if (!combined_to_stdout) {
+      std::printf("%s\n", bench::RenderText(report).c_str());
+      std::fflush(stdout);
+    }
     if (check) {
       std::string baseline_path =
           baselines_dir + "/BENCH_" + std::string(def.name) + ".json";
