@@ -180,7 +180,7 @@ BenchReport RunScaling(const SuiteOptions& options) {
   return report;
 }
 
-// The TPC-W grid serially and fanned out over 2 and 4 service threads:
+// The TPC-W grid on 1, 2 and 4 runner threads (whole schemas per thread):
 // median setup and grid seconds of `repetitions` runner calls each.
 BenchReport RunParallel(const SuiteOptions& options) {
   BenchReport report = NewReport("parallel", options, options.repetitions);

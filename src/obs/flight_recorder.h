@@ -65,9 +65,9 @@ enum class Site : uint8_t {
   kDeadline,              ///< arg: 0 (cancelled at dequeue)
   kSpanBegin,             ///< arg: StageKind
   kSpanEnd,               ///< arg: StageKind | elapsed_us << 8
-  kPlanCacheHit,          ///< arg: visible LSN the entry matched
-  kPlanCacheMiss,         ///< arg: visible LSN planned against
-  kPlanCacheInvalidated,  ///< arg: visible LSN that evicted the entry
+  kPlanCacheHit,          ///< arg: cache generation the entry matched
+  kPlanCacheMiss,         ///< arg: cache generation planned under
+  kPlanCacheInvalidated,  ///< arg: cache generation that evicted the entry
   kGenerationBump,        ///< arg: the new generation
   kWalAppend,             ///< arg: assigned LSN
   kWalFsync,              ///< arg: batch-end LSN the fsync made durable

@@ -2,31 +2,18 @@
 
 namespace mctsvc {
 
-std::string PlanCache::Key(uint64_t store_fingerprint,
-                           const std::string& schema_name,
-                           const std::string& canonical_query) {
-  std::string key = std::to_string(store_fingerprint);
-  key += '/';
-  key += schema_name;
-  key += '/';
-  key += canonical_query;
-  return key;
-}
-
-std::shared_ptr<const CachedPlan> PlanCache::Lookup(const std::string& key,
-                                                    mctdb::Lsn visible_lsn,
-                                                    LookupOutcome* outcome) {
+std::shared_ptr<const CachedPlan> PlanCache::Lookup(
+    const std::string& query_text, LookupOutcome* outcome) {
   std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-  auto it = map_.find(key);
+  auto it = map_.find(query_text);
   if (it == map_.end()) {
     *outcome = LookupOutcome::kMiss;
     return nullptr;
   }
   const std::shared_ptr<const CachedPlan>& entry = it->second.entry;
-  if (entry->built_lsn != visible_lsn ||
-      entry->generation != generation_.load(std::memory_order_acquire)) {
-    // Visibility moved since the plan was built: an update committed or a
-    // checkpoint relabeled. Drop the entry so the caller re-plans.
+  if (entry->generation != generation_.load(std::memory_order_acquire)) {
+    // A checkpoint ran since the plan was built: drop the entry so the
+    // caller re-plans.
     lru_.erase(it->second.lru_it);
     map_.erase(it);
     *outcome = LookupOutcome::kInvalidated;
@@ -37,18 +24,18 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(const std::string& key,
   return entry;
 }
 
-void PlanCache::Insert(const std::string& key,
+void PlanCache::Insert(const std::string& query_text,
                        std::shared_ptr<const CachedPlan> entry) {
   if (capacity_ == 0) return;
   std::lock_guard<mctdb::OrderedMutex> lock(mu_);
-  auto it = map_.find(key);
+  auto it = map_.find(query_text);
   if (it != map_.end()) {
     it->second.entry = std::move(entry);
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return;
   }
-  lru_.push_front(key);
-  map_.emplace(key, Slot{std::move(entry), lru_.begin()});
+  lru_.push_front(query_text);
+  map_.emplace(query_text, Slot{std::move(entry), lru_.begin()});
   while (map_.size() > capacity_) {
     map_.erase(lru_.back());
     lru_.pop_back();

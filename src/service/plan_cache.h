@@ -1,22 +1,20 @@
-// PlanCache: an LSN-aware LRU cache of compiled query plans.
+// PlanCache: one store's LRU cache of compiled query plans.
 //
 // Planning a query — path recovery per schema, color selection, static
 // analysis — is pure CPU repeated verbatim for every resubmission of the
-// same query text. The cache keys on (store fingerprint, schema name,
-// canonical query text) so a plan can never be replayed against a
-// different store, schema, or query, and every entry pins the whole chain
-// a QueryPlan points into (the query copy AND the plan) in one
-// heap-allocated CachedPlan, shared_ptr-held by the cache and by every
-// in-flight task using it — eviction can never dangle a running query.
+// same query text. A plan is a function of (query, schema) alone and reads
+// no store state, and the service keeps one cache per store, whose schema
+// never changes, so the canonical query text is the whole key. Every entry
+// pins the whole chain a QueryPlan points into (the query copy AND the
+// plan) in one heap-allocated CachedPlan, shared_ptr-held by the cache and
+// by every in-flight task using it — eviction can never dangle a running
+// query.
 //
-// Staleness is LSN-strict by construction: an entry built at visible LSN
-// L only hits while the store's visible LSN is still L and no checkpoint
-// has bumped the cache generation. The moment an update commits (visible
-// LSN advances) or a checkpoint relabels intervals (generation bump), the
-// next lookup reports kInvalidated, drops the entry, and the caller
-// re-plans against current state — a cached plan can never serve a result
-// older than the session's own snapshot rules allow, so "stale empty"
-// results are impossible rather than merely unlikely.
+// Commits do not invalidate an entry: a read sees committed rows through
+// the snapshot the worker pins at dequeue, not through its plan. A
+// checkpoint bumps the generation, and the next lookup of an entry built
+// under an older generation reports kInvalidated and drops it, so the
+// caller re-plans once; generation() thereby counts attempted checkpoints.
 #pragma once
 
 #include <atomic>
@@ -26,22 +24,19 @@
 #include <string>
 #include <unordered_map>
 
-#include "common/lsn.h"
 #include "common/ordered_mutex.h"
 #include "query/plan.h"
 #include "query/query_spec.h"
 
 namespace mctsvc {
 
-/// One cached compilation: the query copy, the plan compiled from it
-/// (plan.query points at the `query` member, plan.statically_empty /
-/// analysis_codes carry the admission-time QRY verdict), and the
-/// visibility state it was built under.
+/// One cached compilation: the query copy, the verified plan compiled from
+/// it (plan.query points at the `query` member, plan.statically_empty /
+/// analysis_codes carry the QRY verdict), and the cache generation it was
+/// built under.
 struct CachedPlan {
   mctdb::query::AssociationQuery query;
   mctdb::query::QueryPlan plan;
-  /// The store's visible LSN when the plan was admitted.
-  mctdb::Lsn built_lsn = mctdb::kNoLsn;
   /// PlanCache generation at build time (bumped by checkpoints).
   uint64_t generation = 0;
 };
@@ -49,7 +44,7 @@ struct CachedPlan {
 enum class LookupOutcome {
   kHit,          ///< fresh entry returned
   kMiss,         ///< no entry under the key
-  kInvalidated,  ///< entry existed but was stale (LSN or generation moved)
+  kInvalidated,  ///< entry existed but predates the current generation
 };
 
 class PlanCache {
@@ -59,32 +54,24 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// The composite cache key. The canonical text covers every query field
-  /// (query/query_spec.h), the schema name separates designs of one
-  /// diagram, and the store fingerprint separates stores sharing a schema.
-  static std::string Key(uint64_t store_fingerprint,
-                         const std::string& schema_name,
-                         const std::string& canonical_query);
-
-  /// Returns the entry under `key` iff it was built at exactly
-  /// `visible_lsn` and the current generation; a stale entry is erased and
-  /// reported as kInvalidated. The returned pointer (kHit only) stays
+  /// Returns the entry under `query_text` (query::CanonicalQueryText) iff
+  /// it was built under the current generation; an older entry is erased
+  /// and reported as kInvalidated. The returned pointer (kHit only) stays
   /// valid for as long as the caller holds it, regardless of eviction.
-  std::shared_ptr<const CachedPlan> Lookup(const std::string& key,
-                                           mctdb::Lsn visible_lsn,
+  std::shared_ptr<const CachedPlan> Lookup(const std::string& query_text,
                                            LookupOutcome* outcome);
 
-  /// Installs (or replaces) the entry under `key`, evicting the least
-  /// recently used entry past capacity. A capacity of 0 disables caching.
-  void Insert(const std::string& key,
+  /// Installs (or replaces) the entry under `query_text`, evicting the
+  /// least recently used entry past capacity. A capacity of 0 disables
+  /// caching.
+  void Insert(const std::string& query_text,
               std::shared_ptr<const CachedPlan> entry);
 
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-  /// Invalidates every cached plan (lazily, at next lookup). Called when a
-  /// checkpoint rewrites the base store — interval labels may have moved,
-  /// so even the LSN check is not enough.
+  /// Makes every cached plan re-plan once (lazily, at its next lookup).
+  /// Called at every attempted checkpoint.
   void BumpGeneration() {
     generation_.fetch_add(1, std::memory_order_acq_rel);
   }

@@ -3,10 +3,8 @@
 #include <utility>
 
 #include "analysis/plan_verify.h"
-#include "analysis/query_analyze.h"
 #include "common/failpoint.h"
 #include "query/planner.h"
-#include "storage/persist.h"
 #include "common/log.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -24,8 +22,9 @@ namespace flight = mctdb::obs::flight;
 
 QueryService::QueryService(const ServiceOptions& options)
     : options_(options), start_time_(std::chrono::steady_clock::now()) {
+  if (options_.num_threads == 0) options_.num_threads = 1;
   mctdb::ThreadPool::Options popts;
-  popts.num_threads = options_.num_threads == 0 ? 1 : options_.num_threads;
+  popts.num_threads = options_.num_threads;
   popts.start_paused = options_.start_paused;
   pool_ = std::make_unique<mctdb::ThreadPool>(popts);
   if (options_.http_port >= 0) {
@@ -116,7 +115,7 @@ QueryService::StoreView::StoreView(
     const ServiceOptions& options, PoolTotals* pool_totals)
     : store(std::move(pinned)),
       pool(std::make_unique<mctdb::storage::ShardedBufferPool>(
-          store->pager(), options.pool_pages, options.pool_shards)),
+          store->pager(), options.pool_pages, /*num_shards=*/0)),
       totals(pool_totals) {
   folded.shard_hits.resize(pool->num_shards());
   folded.shard_misses.resize(pool->num_shards());
@@ -195,9 +194,7 @@ Status QueryService::Register(const std::string& name,
       std::make_shared<StoreView>(std::move(store), options_, entry.totals.get());
   entry.totals->counts = entry.view->folded;  // zeros, one per shard
   entry.durable = durable;
-  entry.plan_cache = std::make_unique<PlanCache>(options_.plan_cache_capacity);
-  entry.fingerprint =
-      mctdb::storage::SchemaFingerprint(entry.view->store->schema());
+  entry.plan_cache = std::make_unique<PlanCache>(kPlanCacheCapacity);
   if (options_.breaker_failure_threshold > 0) {
     CircuitBreaker::Options bopts;
     bopts.failure_threshold = options_.breaker_failure_threshold;
@@ -226,9 +223,10 @@ Result<std::shared_ptr<QueryService::Session>> QueryService::OpenSession(
   if (it == stores_.end()) {
     return Status::NotFound("store '" + store + "' is not registered");
   }
+  const StoreEntry& entry = it->second;
   return std::shared_ptr<Session>(
-      new Session(this, store, it->second.durable, it->second.breaker.get(),
-                  it->second.plan_cache.get(), it->second.fingerprint));
+      new Session(this, store, &entry.view->store->schema(), entry.durable,
+                  entry.breaker.get(), entry.plan_cache.get()));
 }
 
 std::shared_ptr<const QueryService::StoreView> QueryService::CurrentView(
@@ -263,11 +261,10 @@ void QueryService::OnMaintenanceCheckpoint(
   // Publish the rebased store's view now, not at the next request, so the
   // replaced view is usually dropped (and its store freed) on this thread.
   CurrentView(store);
-  // Bump even on failure — same reasoning as Checkpoint(): a half-finished
-  // checkpoint may have moved state, and a spurious re-plan is cheap next
-  // to a plan compiled against intervals that no longer exist. The trace
-  // id is the maintenance cycle's (minted by the manager's loop), so the
-  // bump correlates with the trigger and the WAL events of the checkpoint.
+  // Bump even on failure, like Checkpoint(): the generation counts
+  // attempted checkpoints. The trace id is the maintenance cycle's (minted
+  // by the manager's loop), so the bump correlates with the trigger and
+  // the WAL events of the checkpoint.
   cache->BumpGeneration();
   flight::Record(flight::Subsystem::kPlanCache,
                  flight::Site::kGenerationBump,
@@ -284,42 +281,6 @@ void QueryService::OnMaintenanceCheckpoint(
                {"reason", mctdb::wal::ToString(event.reason)},
                {"error", event.status.ToString()}});
   }
-}
-
-Result<ExecResult> QueryService::Execute(const std::string& store,
-                                         const QueryPlan& plan,
-                                         double timeout_seconds) {
-  if (plan.query != nullptr && plan.query->is_update()) {
-    return Status::InvalidArgument(
-        "update plans rewrite a read-only store in place and need an "
-        "explicit session (one per store); durable stores take updates "
-        "through Session::SubmitUpdate");
-  }
-  MCTDB_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                         OpenSession(store));
-  // One-shots are the "new session" shed class: under overload they go
-  // first, preserving capacity for established sessions.
-  MCTDB_ASSIGN_OR_RETURN(
-      QueryFuture future,
-      session->Submit(plan, timeout_seconds, Priority::kLow));
-  return future.get();
-}
-
-Result<ExecResult> QueryService::ExecuteQuery(
-    const std::string& store, const mctdb::query::AssociationQuery& query,
-    double timeout_seconds) {
-  if (query.is_update()) {
-    return Status::InvalidArgument(
-        "update queries rewrite a read-only store in place and need an "
-        "explicit session (one per store); durable stores take updates "
-        "through Session::SubmitUpdate");
-  }
-  MCTDB_ASSIGN_OR_RETURN(std::shared_ptr<Session> session,
-                         OpenSession(store));
-  MCTDB_ASSIGN_OR_RETURN(
-      QueryFuture future,
-      session->SubmitQuery(query, timeout_seconds, Priority::kLow));
-  return future.get();
 }
 
 Result<mctdb::wal::CheckpointStats> QueryService::Checkpoint(
@@ -345,9 +306,8 @@ Result<mctdb::wal::CheckpointStats> QueryService::Checkpoint(
   const uint64_t trace_id = mctdb::obs::MintTraceId();
   mctdb::obs::ScopedTraceId trace_scope(trace_id);
   Result<mctdb::wal::CheckpointStats> stats = durable->Checkpoint();
-  // Bump even on failure: a half-finished checkpoint may still have moved
-  // in-memory state, and a spurious re-plan is cheap next to a plan
-  // compiled against intervals that no longer exist.
+  // Bump even on failure: the generation counts attempted checkpoints, and
+  // the one re-plan per cached query it costs is negligible.
   cache->BumpGeneration();
   flight::Record(flight::Subsystem::kPlanCache,
                  flight::Site::kGenerationBump, trace_id,
@@ -490,16 +450,16 @@ void QueryService::RunNext(const std::shared_ptr<Session>& session) {
       // mid-query stay invisible, so the result is a consistent snapshot
       // (and on read-only stores this is a no-op).
       exec.set_snapshot(view->store->visible_lsn());
-      return exec.Execute(*task.plan);
+      return exec.Execute(task.plan->plan);
     }();
     EndInFlight(task.trace_id);
     metrics_.completed.fetch_add(1, std::memory_order_relaxed);
     if (result.ok()) {
       metrics_.latency.Record(result->elapsed_seconds);
-      if (task.plan->statically_empty) {
+      if (task.plan->plan.statically_empty) {
         metrics_.queries_pruned.fetch_add(1, std::memory_order_relaxed);
       }
-      for (const std::string& code : task.plan->analysis_codes) {
+      for (const std::string& code : task.plan->plan.analysis_codes) {
         if (code == "QRY008" || code == "QRY009") {
           metrics_.plans_simplified.fetch_add(1, std::memory_order_relaxed);
           break;
@@ -548,8 +508,7 @@ void QueryService::RecordCompletion(const Session& session,
   metrics_.index_seeks.fetch_add(result.index_seeks,
                                  std::memory_order_relaxed);
   if (options_.slow_query_seconds <= 0 ||
-      result.elapsed_seconds < options_.slow_query_seconds ||
-      options_.slow_query_log_capacity == 0) {
+      result.elapsed_seconds < options_.slow_query_seconds) {
     return;
   }
   metrics_.slow_queries.fetch_add(1, std::memory_order_relaxed);
@@ -572,7 +531,7 @@ void QueryService::RecordCompletion(const Session& session,
   record.trace = result.trace;
   std::lock_guard<mctdb::OrderedMutex> lock(slow_mu_);
   slow_log_.push_back(std::move(record));
-  while (slow_log_.size() > options_.slow_query_log_capacity) {
+  while (slow_log_.size() > kSlowQueryLogCapacity) {
     slow_log_.pop_front();
   }
 }
@@ -585,10 +544,7 @@ void QueryService::RecordRejection(const std::string& store,
   // log matters most; a log that goes quiet under overload would hide the
   // requests the operator is debugging. Threshold does not apply — the
   // request consumed ~zero execution time by design.
-  if (options_.slow_query_log_capacity == 0 ||
-      options_.slow_query_seconds <= 0) {
-    return;
-  }
+  if (options_.slow_query_seconds <= 0) return;
   SlowQueryRecord record;
   record.store = store;
   record.query = query_label;
@@ -598,7 +554,7 @@ void QueryService::RecordRejection(const std::string& store,
   record.trace.trace_id = trace_id;
   std::lock_guard<mctdb::OrderedMutex> lock(slow_mu_);
   slow_log_.push_back(std::move(record));
-  while (slow_log_.size() > options_.slow_query_log_capacity) {
+  while (slow_log_.size() > kSlowQueryLogCapacity) {
     slow_log_.pop_front();
   }
 }
@@ -728,8 +684,7 @@ std::string QueryService::HealthJson() const {
       "{\"status\":\"%s\",\"uptime_seconds\":%.3f,\"stores\":%zu,"
       "\"workers\":%zu,\"queue_depth\":%llu,\"breakers\":%s,"
       "\"readonly_stores\":%s}",
-      degraded ? "degraded" : "ok", uptime, num_stores,
-      options_.num_threads == 0 ? size_t{1} : options_.num_threads,
+      degraded ? "degraded" : "ok", uptime, num_stores, options_.num_threads,
       static_cast<unsigned long long>(
           metrics_.queue_depth.load(std::memory_order_relaxed)),
       breakers.c_str(), readonly.c_str());
@@ -751,7 +706,7 @@ std::string QueryService::StatuszJson() const {
       std::chrono::duration<double>(now - start_time_).count();
   std::string out = mctdb::StringPrintf(
       "{\"uptime_seconds\":%.3f,\"workers\":%zu,\"queue_depth\":%llu",
-      uptime, options_.num_threads == 0 ? size_t{1} : options_.num_threads,
+      uptime, options_.num_threads,
       static_cast<unsigned long long>(
           metrics_.queue_depth.load(std::memory_order_relaxed)));
   // Currently-executing requests, one row per busy worker.
@@ -862,155 +817,105 @@ std::string QueryService::FlightzJson() const {
   return flight::RenderJson(flight::Snapshot());
 }
 
-Result<QueryFuture> QueryService::Session::Submit(const QueryPlan& plan,
-                                                  double timeout_seconds,
-                                                  Priority priority) {
-  return SubmitPlanned(plan, nullptr, timeout_seconds, priority,
-                       /*pre_verified=*/false, mctdb::obs::MintTraceId());
-}
-
 Result<QueryFuture> QueryService::Session::SubmitQuery(
-    const mctdb::query::AssociationQuery& query, double timeout_seconds,
-    Priority priority) {
-  QueryService* svc = service_;
+    const mctdb::query::AssociationQuery& query, double timeout_seconds) {
   // Minted before the cache lookup so the hit/miss/invalidation events —
   // the first thing that happens to this request — already carry the id
   // `mctc trace --id` will filter on.
   const uint64_t trace_id = mctdb::obs::MintTraceId();
-  // Resolve the current view: after a rebase the visible LSN must come
-  // from the LIVE store, not the replaced one whose LSN froze.
-  std::shared_ptr<const StoreView> view = svc->CurrentView(store_name_);
-  const mctdb::mct::MctSchema& schema = view->store->schema();
-  const std::string key = PlanCache::Key(
-      fingerprint_, schema.name(), mctdb::query::CanonicalQueryText(query));
-  // The freshness pivot: a cached plan only hits while the store's visible
-  // LSN still equals the LSN it was built at (and the generation matches).
-  // RunNext pins the executor to visible_lsn() again at dequeue; since
-  // LSNs only advance, a hit guarantees the plan is no newer than the
-  // snapshot the query will run under.
-  const mctdb::Lsn visible = view->store->visible_lsn();
-  LookupOutcome outcome = LookupOutcome::kMiss;
-  std::shared_ptr<const CachedPlan> cached =
-      plan_cache_->Lookup(key, visible, &outcome);
-  if (outcome == LookupOutcome::kHit) {
-    svc->metrics_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    flight::Record(flight::Subsystem::kPlanCache,
-                   flight::Site::kPlanCacheHit, trace_id, visible);
-    // Verified when built; admission skips straight to the gates below.
-    // The plan reference must be taken BEFORE the call: argument
-    // evaluation order is unspecified, and `std::move(cached)` may
-    // construct the holder parameter (nulling `cached`) before
-    // `cached->plan` is read.
-    const QueryPlan& hit_plan = cached->plan;
-    return SubmitPlanned(hit_plan, std::move(cached), timeout_seconds,
-                         priority, /*pre_verified=*/true, trace_id);
-  }
-  if (outcome == LookupOutcome::kInvalidated) {
-    svc->metrics_.plan_cache_invalidations.fetch_add(
-        1, std::memory_order_relaxed);
-    flight::Record(flight::Subsystem::kPlanCache,
-                   flight::Site::kPlanCacheInvalidated, trace_id, visible);
-  } else {
-    svc->metrics_.plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    flight::Record(flight::Subsystem::kPlanCache,
-                   flight::Site::kPlanCacheMiss, trace_id, visible);
-  }
-  // Plan fresh against current state. The entry owns the query copy and
-  // the plan compiled FROM that copy, so the pointer chain inside
-  // QueryPlan stays valid for exactly as long as the entry lives.
-  auto entry = std::make_shared<CachedPlan>();
-  entry->query = query;
-  MCTDB_ASSIGN_OR_RETURN(
-      entry->plan, mctdb::query::PlanQuery(entry->query, schema));
-  entry->built_lsn = visible;
-  entry->generation = plan_cache_->generation();
-  std::shared_ptr<const CachedPlan> frozen = std::move(entry);
-  Result<QueryFuture> admitted = SubmitPlanned(
-      frozen->plan, frozen, timeout_seconds, priority,
-      /*pre_verified=*/false, trace_id);
-  if (admitted.ok()) {
-    // Only admitted (hence verified) plans enter the cache; a rejected
-    // plan would otherwise hit later and skip the very gate it failed.
-    plan_cache_->Insert(key, std::move(frozen));
-  }
-  return admitted;
+  MCTDB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan,
+                         CachedOrNewPlan(query, trace_id));
+  Task task;
+  task.plan = std::move(plan);
+  task.trace_id = trace_id;
+  task.query_label = query.name;
+  QueryFuture future = task.promise.get_future();
+  MCTDB_RETURN_IF_ERROR(Admit(std::move(task), timeout_seconds));
+  return future;
 }
 
-Result<QueryFuture> QueryService::Session::SubmitPlanned(
-    const QueryPlan& plan, std::shared_ptr<const CachedPlan> holder,
-    double timeout_seconds, Priority priority, bool pre_verified,
-    uint64_t trace_id) {
-  QueryService* svc = service_;
-  // Admission gate: statically verify the plan before it consumes an
-  // admission slot or a worker, so a malformed plan can never crash (or
-  // wedge) a worker thread.
-  if (svc->options_.verify_plans && !pre_verified) {
-    mctdb::analysis::DiagnosticReport report =
-        mctdb::analysis::VerifyPlan(plan);
-    if (report.has_errors()) {
-      svc->metrics_.invalid_plans.fetch_add(1, std::memory_order_relaxed);
-      return Status::InvalidArgument("plan verification failed:\n" +
-                                     report.ToText());
-    }
-    // Second gate, query-level: a plan whose query the static analyzer
-    // rejects outright (unknown types, malformed references, unrecoverable
-    // associations — QRY001/002/006) never reaches a worker. Emptiness
-    // findings pass through: a statically-empty query is valid and runs as
-    // a zero-I/O short-circuit.
-    if (plan.query != nullptr && plan.schema != nullptr) {
-      mctdb::analysis::QueryAnalysis verdict =
-          mctdb::analysis::AnalyzeQuery(*plan.query, *plan.schema);
-      if (verdict.fatal()) {
-        svc->metrics_.invalid_plans.fetch_add(1, std::memory_order_relaxed);
-        return Status::InvalidArgument(
-            "query rejected by static analysis:\n" +
-            verdict.report.ToText());
-      }
-    }
+Result<std::shared_ptr<const CachedPlan>>
+QueryService::Session::CachedOrNewPlan(
+    const mctdb::query::AssociationQuery& query, uint64_t trace_id) {
+  ServiceMetrics& metrics = service_->metrics_;
+  const std::string text = mctdb::query::CanonicalQueryText(query);
+  LookupOutcome outcome = LookupOutcome::kMiss;
+  std::shared_ptr<const CachedPlan> cached =
+      plan_cache_->Lookup(text, &outcome);
+  const uint64_t generation = plan_cache_->generation();
+  switch (outcome) {
+    case LookupOutcome::kHit:
+      metrics.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      flight::Record(flight::Subsystem::kPlanCache,
+                     flight::Site::kPlanCacheHit, trace_id, generation);
+      return cached;  // verified when it was built
+    case LookupOutcome::kInvalidated:
+      metrics.plan_cache_invalidations.fetch_add(1,
+                                                 std::memory_order_relaxed);
+      flight::Record(flight::Subsystem::kPlanCache,
+                     flight::Site::kPlanCacheInvalidated, trace_id,
+                     generation);
+      break;
+    case LookupOutcome::kMiss:
+      metrics.plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
+      flight::Record(flight::Subsystem::kPlanCache,
+                     flight::Site::kPlanCacheMiss, trace_id, generation);
+      break;
   }
-  Task task;
-  task.plan = &plan;
-  task.holder = std::move(holder);
-  task.trace_id = trace_id;
-  task.query_label =
-      plan.query != nullptr ? plan.query->name : std::string("<plan>");
-  QueryFuture future = task.promise.get_future();
-  MCTDB_RETURN_IF_ERROR(Admit(std::move(task), timeout_seconds, priority));
-  return future;
+  // The entry owns the query copy and the plan compiled FROM that copy, so
+  // the pointer chain inside QueryPlan stays valid for exactly as long as
+  // the entry lives.
+  auto entry = std::make_shared<CachedPlan>();
+  entry->query = query;
+  entry->generation = generation;
+  // PlanQuery opens with the static analyzer's fatal gate on the caller's
+  // query (unknown types, malformed references, unrecoverable
+  // associations: QRY001/002/006); emptiness findings pass, since a
+  // statically empty query is valid and runs as a zero-I/O short-circuit.
+  // The verifier then checks the plan itself, so a malformed plan can
+  // never crash or wedge a worker. Only a verified plan is cached.
+  Result<QueryPlan> plan = mctdb::query::PlanQuery(entry->query, *schema_);
+  if (!plan.ok()) {
+    metrics.invalid_plans.fetch_add(1, std::memory_order_relaxed);
+    return plan.status();
+  }
+  mctdb::analysis::DiagnosticReport report =
+      mctdb::analysis::VerifyPlan(*plan);
+  if (report.has_errors()) {
+    metrics.invalid_plans.fetch_add(1, std::memory_order_relaxed);
+    return Status::InvalidArgument("plan verification failed:\n" +
+                                   report.ToText());
+  }
+  entry->plan = std::move(*plan);
+  plan_cache_->Insert(text, entry);
+  return std::shared_ptr<const CachedPlan>(std::move(entry));
 }
 
 Result<UpdateFuture> QueryService::Session::SubmitUpdate(
     const mctdb::storage::UpdateOp& op, double timeout_seconds) {
-  QueryService* svc = service_;
   if (durable_ == nullptr) {
     return Status::InvalidArgument(
         "store '" + store_name_ +
         "' is not WAL-backed; register it with AddDurableStore to accept "
         "updates");
   }
-  if (svc->options_.verify_plans) {
-    mctdb::analysis::DiagnosticReport report =
-        mctdb::analysis::VerifyUpdate(durable_->schema(), op);
-    if (report.has_errors()) {
-      svc->metrics_.invalid_plans.fetch_add(1, std::memory_order_relaxed);
-      return Status::InvalidArgument("update verification failed:\n" +
-                                     report.ToText());
-    }
+  mctdb::analysis::DiagnosticReport report =
+      mctdb::analysis::VerifyUpdate(*schema_, op);
+  if (report.has_errors()) {
+    service_->metrics_.invalid_plans.fetch_add(1, std::memory_order_relaxed);
+    return Status::InvalidArgument("update verification failed:\n" +
+                                   report.ToText());
   }
   Task task;
   task.op = &op;
   task.trace_id = mctdb::obs::MintTraceId();
   task.query_label = mctdb::storage::UpdateKindName(op.kind);
   UpdateFuture future = task.update_promise.get_future();
-  // Updates are Priority::kHigh by design: they are never load-shed, only
-  // refused at the hard admission limit.
-  MCTDB_RETURN_IF_ERROR(
-      Admit(std::move(task), timeout_seconds, Priority::kHigh));
+  MCTDB_RETURN_IF_ERROR(Admit(std::move(task), timeout_seconds));
   return future;
 }
 
-Status QueryService::Session::Admit(Task task, double timeout_seconds,
-                                    Priority priority) {
+Status QueryService::Session::Admit(Task task, double timeout_seconds) {
   QueryService* svc = service_;
   const uint64_t trace_id = task.trace_id;
   // An open breaker refuses before the request consumes an admission
@@ -1046,17 +951,13 @@ Status QueryService::Session::Admit(Task task, double timeout_seconds,
     return Status::ResourceExhausted(mctdb::StringPrintf(
         "admission queue full (max_queued=%zu)", svc->options_.max_queued));
   }
-  // Load shedding: past the watermark for this request's priority, shed
-  // it now — cheaper for everyone than queueing work that will crowd out
-  // higher-priority requests. The hint assumes the backlog drains at the
-  // observed mean latency across the worker pool.
-  double watermark_fraction =
-      priority == Priority::kLow      ? svc->options_.shed_low_fraction
-      : priority == Priority::kNormal ? svc->options_.shed_normal_fraction
-                                      : 1.0;
-  if (priority != Priority::kHigh &&
-      double(in_flight) >
-          watermark_fraction * double(svc->options_.max_queued)) {
+  // Load shedding: past the watermark a read is shed now — cheaper for
+  // everyone than queueing work that will crowd out updates and requests
+  // already admitted. Updates ride until the hard limit. The hint assumes
+  // the backlog drains at the observed mean latency across the worker
+  // pool.
+  if (task.op == nullptr &&
+      double(in_flight) > kShedFraction * double(svc->options_.max_queued)) {
     svc->FinishOne();
     svc->metrics_.sheds.fetch_add(1, std::memory_order_relaxed);
     flight::Record(flight::Subsystem::kService, flight::Site::kShed,
@@ -1066,22 +967,19 @@ Status QueryService::Session::Admit(Task task, double timeout_seconds,
     double mean = done > 0
                       ? svc->metrics_.latency.total_seconds() / double(done)
                       : 0.001;
-    size_t workers = svc->options_.num_threads == 0
-                         ? size_t{1}
-                         : svc->options_.num_threads;
-    double hint = mean * double(in_flight) / double(workers);
+    double hint =
+        mean * double(in_flight) / double(svc->options_.num_threads);
     if (hint < 0.01) hint = 0.01;
     if (hint > 5.0) hint = 5.0;
     MCTDB_LOG(kDebug, "mctsvc", "request shed",
               {{"store", store_name_},
                {"in_flight", in_flight},
-               {"priority", int64_t(priority)},
                {"retry_after_seconds", hint}});
     return Status::Unavailable(mctdb::StringPrintf(
-        "overloaded (%llu in flight, shedding at %.0f%% of %zu); "
+        "overloaded (%llu in flight, shedding reads at %.0f%% of %zu); "
         "retry after %.2fs",
-        static_cast<unsigned long long>(in_flight),
-        watermark_fraction * 100.0, svc->options_.max_queued, hint));
+        static_cast<unsigned long long>(in_flight), kShedFraction * 100.0,
+        svc->options_.max_queued, hint));
   }
   svc->metrics_.submitted.fetch_add(1, std::memory_order_relaxed);
   if (task.op != nullptr) {
@@ -1091,15 +989,13 @@ Status QueryService::Session::Admit(Task task, double timeout_seconds,
   flight::Record(flight::Subsystem::kService, flight::Site::kAdmit,
                  trace_id, in_flight);
 
-  double timeout = timeout_seconds > 0 ? timeout_seconds
-                                       : svc->options_.default_timeout_seconds;
   task.enqueue_time = std::chrono::steady_clock::now();
-  if (timeout > 0) {
+  if (timeout_seconds > 0) {
     task.has_deadline = true;
     task.deadline = task.enqueue_time +
                     std::chrono::duration_cast<
                         std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(timeout));
+                        std::chrono::duration<double>(timeout_seconds));
   }
 
   bool need_schedule;

@@ -2,33 +2,36 @@
 // or more MctStores.
 //
 // Architecture:
-//   * a fixed-size worker ThreadPool with a bounded admission window:
-//     Submit returns Status::ResourceExhausted once max_queued requests
-//     are in flight (queued or running), instead of buffering unboundedly;
+//   * one way in per request kind: a read enters as a query through
+//     Session::SubmitQuery, which plans it through the store's plan cache
+//     (a miss plans and verifies once, a hit reuses the verified plan), and
+//     a write enters as an UpdateOp through Session::SubmitUpdate;
+//   * a fixed-size worker ThreadPool with a bounded admission window: a
+//     submission returns Status::ResourceExhausted once max_queued
+//     requests are in flight (queued or running), instead of buffering
+//     unboundedly;
 //   * per-request deadlines: a request whose deadline passes while it
 //     waits is cancelled cleanly at dequeue with Status::DeadlineExceeded
 //     (it never starts executing);
 //   * sessions: a Session's requests execute in submission order, one at a
 //     time (a strand), while distinct sessions run in parallel on the
 //     worker pool. Read-only queries may run from any number of sessions
-//     of the same store concurrently. Update-form plans (the U-queries)
-//     rewrite a read-only store's base in place, so they are only legal
-//     through a session, relying on "one session per store" for
-//     exclusivity; on a durable store the executor refuses them with
-//     InvalidArgument, because its writes are logged UpdateOps submitted
-//     through Session::SubmitUpdate;
-//   * one N-shard ShardedBufferPool per registered store (sized by
-//     ServiceOptions::pool_pages/pool_shards), shared by all of that
-//     store's sessions; each request gets its own Executor over that pool
-//     handle instead of the store's own one-shard pool;
+//     of the same store concurrently. An update-form query (the U-queries)
+//     rewrites a read-only store's base in place, relying on "one session
+//     per store" for exclusivity; on a durable store the executor refuses
+//     it with InvalidArgument, because its writes are logged UpdateOps
+//     submitted through Session::SubmitUpdate;
+//   * one N-shard ShardedBufferPool per registered store (ServiceOptions::
+//     pool_pages pages, ShardedBufferPool's heuristic shard count), shared
+//     by all of that store's sessions; each request gets its own Executor
+//     over that pool handle instead of the store's own one-shard pool;
 //   * one metrics registry: Families() lists every series once (the
 //     ServiceMetrics counters and histograms, lock contention, per-store
 //     and per-shard pool, breaker and maintenance state), rendered as
 //     Prometheus text for /metrics and as JSON for /metrics.json;
 //   * graceful degradation: a load-shedding admission controller (past
-//     the low watermark new-session/low-priority work is shed with
-//     Status::Unavailable and a retry-after hint, past the high watermark
-//     normal-priority too — high-priority rides until the hard admission
+//     kShedFraction of max_queued a read is shed with Status::Unavailable
+//     and a retry-after hint; an update rides until the hard admission
 //     limit) and a per-store circuit breaker that opens after N
 //     consecutive hard failures (DataLoss/Internal) and half-opens on a
 //     timer. A degraded service says so on /healthz (HTTP 503) while the
@@ -65,52 +68,24 @@
 
 namespace mctsvc {
 
-/// Request priority for the load-shedding admission controller. Under
-/// pressure the service sheds from the bottom up: kLow first (one-shot
-/// Execute calls — "new sessions" — submit at kLow), then kNormal; kHigh
-/// is only refused at the hard admission limit.
-enum class Priority { kLow = 0, kNormal = 1, kHigh = 2 };
-
 struct ServiceOptions {
-  /// Worker threads executing requests.
+  /// Worker threads executing requests (0 counts as 1).
   size_t num_threads = 4;
   /// Admission window: requests in flight (queued or running) across all
-  /// sessions. Submissions beyond it are rejected, not buffered.
+  /// sessions. Submissions beyond it are rejected, not buffered; reads are
+  /// shed earlier, past QueryService::kShedFraction of it.
   size_t max_queued = 256;
-  /// Per-store sharded buffer pool: capacity in pages and shard count
-  /// (0 = heuristic, see ShardedBufferPool).
+  /// Per-store sharded buffer pool capacity in pages.
   size_t pool_pages = 2048;
-  size_t pool_shards = 0;
-  /// Default per-request deadline in seconds; 0 = none.
-  double default_timeout_seconds = 0.0;
   /// Start with the workers parked until Resume(). Lets an embedder stage
   /// a batch deterministically (also how the admission tests drive the
   /// queue to overflow without races).
   bool start_paused = false;
-  /// Run the static plan verifier (analysis::VerifyPlan) at admission.
-  /// Malformed plans are rejected with Status::InvalidArgument before they
-  /// consume an admission slot or a worker.
-  bool verify_plans = true;
-  /// Per-store plan cache capacity (entries) for SubmitQuery. A hit skips
-  /// planning AND admission-time verification (the cached entry was
-  /// verified when it was built). 0 disables the cache — every SubmitQuery
-  /// plans fresh.
-  size_t plan_cache_capacity = 64;
   /// Slow-query threshold in seconds: a completed request whose execution
-  /// took at least this long is recorded in the slow-query log (and
-  /// counted in metrics). 0 disables the log.
+  /// took at least this long is recorded in the slow-query log (the last
+  /// QueryService::kSlowQueryLogCapacity entries) and counted in metrics.
+  /// 0 disables the log.
   double slow_query_seconds = 0.0;
-  /// Ring-buffer capacity of the slow-query log; the oldest entry is
-  /// dropped once full.
-  size_t slow_query_log_capacity = 32;
-  /// Load-shedding watermarks as fractions of max_queued. Once the
-  /// in-flight count crosses shed_low_fraction * max_queued, kLow
-  /// submissions are shed with Status::Unavailable; past
-  /// shed_normal_fraction, kNormal too. Shedding keeps headroom for
-  /// high-priority and already-started work instead of letting the hard
-  /// limit reject indiscriminately.
-  double shed_low_fraction = 0.75;
-  double shed_normal_fraction = 0.9;
   /// Per-store circuit breaker: consecutive hard failures (DataLoss /
   /// Internal) that trip it, and how long it stays open before probing.
   /// A threshold of 0 disables the breakers.
@@ -138,6 +113,15 @@ using UpdateFuture =
 
 class QueryService {
  public:
+  /// Plans each store's cache holds (least recently used evicted first).
+  static constexpr size_t kPlanCacheCapacity = 64;
+  /// Entries the slow-query ring keeps; the oldest is dropped once full.
+  static constexpr size_t kSlowQueryLogCapacity = 32;
+  /// Reads are shed once the in-flight count passes this fraction of
+  /// max_queued, keeping the rest of the window for updates and work
+  /// already admitted.
+  static constexpr double kShedFraction = 0.9;
+
   explicit QueryService(const ServiceOptions& options = {});
   /// Drains every admitted request, then joins the workers.
   ~QueryService();
@@ -163,28 +147,11 @@ class QueryService {
   mctdb::Result<std::shared_ptr<Session>> OpenSession(
       const std::string& store);
 
-  /// One-shot convenience: submits on an ephemeral session and waits.
-  /// Rejects update-form plans: on a read-only store they need an
-  /// explicit session so the caller owns the serialization domain, and a
-  /// durable store takes updates only through SubmitUpdate. One-shots are
-  /// the service's
-  /// "new session" class and submit at Priority::kLow, so under overload
-  /// they are shed before established sessions' work.
-  mctdb::Result<mctdb::query::ExecResult> Execute(
-      const std::string& store, const mctdb::query::QueryPlan& plan,
-      double timeout_seconds = 0.0);
-
-  /// One-shot by QUERY (not plan): plans through the store's plan cache —
-  /// or serves a cached, still-fresh plan without re-planning — then
-  /// executes and waits. Same shed class and update rejection as Execute.
-  mctdb::Result<mctdb::query::ExecResult> ExecuteQuery(
-      const std::string& store, const mctdb::query::AssociationQuery& query,
-      double timeout_seconds = 0.0);
-
   /// Checkpoints a durable store (fold deltas into a fresh compact image,
-  /// trim the WAL) and bumps its plan-cache generation: a checkpoint may
-  /// relabel intervals, so every cached plan built before it stops
-  /// hitting. InvalidArgument for read-only or unknown stores.
+  /// trim the WAL) and bumps its plan-cache generation, even when the
+  /// checkpoint fails, so each cached plan re-plans once and generation()
+  /// counts attempted checkpoints. InvalidArgument for read-only stores,
+  /// NotFound for unknown ones.
   mctdb::Result<mctdb::wal::CheckpointStats> Checkpoint(
       const std::string& store);
 
@@ -334,9 +301,6 @@ class QueryService {
     mctdb::wal::DurableStore* durable = nullptr;  // null for read-only
     std::unique_ptr<CircuitBreaker> breaker;  // null when disabled
     std::unique_ptr<PlanCache> plan_cache;
-    /// storage::SchemaFingerprint of the store's schema, part of every
-    /// plan-cache key.
-    uint64_t fingerprint = 0;
     /// Checkpoints run through QueryService::Checkpoint (reason "manual"
     /// in mctsvc_checkpoints_triggered_total). Guarded by mu_.
     uint64_t manual_checkpoints = 0;
@@ -350,7 +314,7 @@ class QueryService {
   mctdb::Status Register(const std::string& name,
                          std::shared_ptr<mctdb::storage::MctStore> store,
                          mctdb::wal::DurableStore* durable);
-  /// The store's current view, or null if unknown. Sessions resolve this
+  /// The store's current view, or null if unknown. Workers resolve this
   /// per request instead of caching raw pointers across rebases. The one
   /// routine that publishes views: when a durable store's live store is
   /// no longer the one its view pins (a kRebaseLive checkpoint ran), it
@@ -414,38 +378,26 @@ class QueryService {
 class QueryService::Session
     : public std::enable_shared_from_this<QueryService::Session> {
  public:
-  /// Submits `plan` for execution. The plan (and whatever it references)
-  /// must stay alive until the returned future resolves. `timeout_seconds`
-  /// <= 0 falls back to the service default. Under overload, requests
-  /// below the current shedding watermark are refused with
-  /// Status::Unavailable (retry-after hint in the message); an open
-  /// circuit breaker on this store refuses the same way. An update-form
-  /// plan on a durable store is admitted and resolves to InvalidArgument
-  /// without touching the store.
-  mctdb::Result<QueryFuture> Submit(
-      const mctdb::query::QueryPlan& plan, double timeout_seconds = 0.0,
-      Priority priority = Priority::kNormal);
-
-  /// Submits a QUERY, planning through the store's plan cache. A fresh
-  /// entry keyed by (store fingerprint, schema, canonical query text) that
-  /// was built at the store's CURRENT visible LSN under the CURRENT cache
-  /// generation is reused as-is — no planning, no re-verification (the
-  /// entry was verified when built). Anything else re-plans against
-  /// current state and installs the new entry. The strict LSN guard makes
-  /// a stale cached result impossible by construction: any committed
-  /// update advances the visible LSN and invalidates on next lookup.
-  /// Unlike Submit, the query need not outlive the call — the cached
-  /// entry owns a copy.
+  /// Submits a read. The store's plan cache supplies the plan: a hit
+  /// reuses a plan verified when it was built, a miss (or an entry from
+  /// before the last checkpoint) plans the query against the store's
+  /// schema, verifies the plan and caches it. A query that cannot be
+  /// planned or fails verification is refused with InvalidArgument before
+  /// admission. The query need not outlive the call: the cached entry owns
+  /// a copy. `timeout_seconds` > 0 sets a deadline. Past kShedFraction of
+  /// max_queued the read is refused with Status::Unavailable (retry-after
+  /// hint in the message); an open circuit breaker on this store refuses
+  /// the same way. An update-form query on a durable store is admitted
+  /// and resolves to InvalidArgument without touching the store.
   mctdb::Result<QueryFuture> SubmitQuery(
       const mctdb::query::AssociationQuery& query,
-      double timeout_seconds = 0.0, Priority priority = Priority::kNormal);
+      double timeout_seconds = 0.0);
 
   /// Submits one update op on this session's strand. Requires the store
   /// to be registered via AddDurableStore (InvalidArgument otherwise).
-  /// Updates are admitted at Priority::kHigh: an update the caller is
-  /// about to fsync is the last thing to shed under load, so it rides
-  /// until the hard admission limit like other high-priority work. The op
-  /// must stay alive until the future resolves.
+  /// Updates are never load-shed: an update the caller is about to fsync
+  /// rides until the hard admission limit. The op must stay alive until
+  /// the future resolves.
   mctdb::Result<UpdateFuture> SubmitUpdate(
       const mctdb::storage::UpdateOp& op, double timeout_seconds = 0.0);
 
@@ -454,18 +406,17 @@ class QueryService::Session
  private:
   friend class QueryService;
   struct Task {
-    const mctdb::query::QueryPlan* plan = nullptr;
+    /// The verified plan a read executes, pinned so cache eviction can
+    /// never dangle a queued task; null for update tasks.
+    std::shared_ptr<const CachedPlan> plan;
     /// Set instead of `plan` for update tasks (resolves update_promise).
     const mctdb::storage::UpdateOp* op = nullptr;
-    /// For SubmitQuery tasks: pins the cached (query, plan) pair `plan`
-    /// points into, so cache eviction can never dangle a queued task.
-    std::shared_ptr<const CachedPlan> holder;
-    /// Correlation key minted at admission; the worker executes under
+    /// Correlation key minted at submission; the worker executes under
     /// ScopedTraceId(trace_id) so every downstream event carries it.
     uint64_t trace_id = 0;
     /// Admission time, for the queue-wait histogram at dequeue.
     std::chrono::steady_clock::time_point enqueue_time;
-    /// Human-readable label for /statusz ("query Q3", "insert_subtree").
+    /// Human-readable label for /statusz ("Q3", "insert_subtree").
     std::string query_label;
     std::chrono::steady_clock::time_point deadline;
     bool has_deadline = false;
@@ -475,36 +426,35 @@ class QueryService::Session
   };
 
   Session(QueryService* service, std::string store_name,
+          const mctdb::mct::MctSchema* schema,
           mctdb::wal::DurableStore* durable, CircuitBreaker* breaker,
-          PlanCache* plan_cache, uint64_t fingerprint)
+          PlanCache* plan_cache)
       : service_(service), store_name_(std::move(store_name)),
-        durable_(durable), breaker_(breaker), plan_cache_(plan_cache),
-        fingerprint_(fingerprint) {}
+        schema_(schema), durable_(durable), breaker_(breaker),
+        plan_cache_(plan_cache) {}
 
-  /// Shared tail of Submit and SubmitQuery: verification gates (skipped
-  /// for verified cached plans), then Admit. `holder` (may be null) rides
-  /// on the task.
-  mctdb::Result<QueryFuture> SubmitPlanned(
-      const mctdb::query::QueryPlan& plan,
-      std::shared_ptr<const CachedPlan> holder, double timeout_seconds,
-      Priority priority, bool pre_verified, uint64_t trace_id);
+  /// The cached plan for `query`, or a freshly planned and verified one
+  /// (then cached). Ticks one plan-cache outcome under `trace_id`.
+  mctdb::Result<std::shared_ptr<const CachedPlan>> CachedOrNewPlan(
+      const mctdb::query::AssociationQuery& query, uint64_t trace_id);
   /// The one admission path for queries and updates: breaker, hard limit,
-  /// shedding (never for kHigh), counters, deadline, then the strand
-  /// enqueue. `task` carries the plan or op, its trace id and label; a
-  /// refusal is logged in the slow-query ring and returned.
-  mctdb::Status Admit(Task task, double timeout_seconds, Priority priority);
+  /// shedding (reads only), counters, deadline, then the strand enqueue.
+  /// `task` carries the plan or op, its trace id and label; a refusal is
+  /// logged in the slow-query ring and returned.
+  mctdb::Status Admit(Task task, double timeout_seconds);
 
   // The session deliberately does NOT cache the store or pool pointers: a
   // rebase swaps both, so every request resolves the current StoreView
-  // through the service instead. The remaining raw pointers
-  // (durable store, breaker, plan cache) are stable for the service's
-  // lifetime.
+  // through the service at dequeue instead. The remaining raw pointers
+  // (schema, durable store, breaker, plan cache) are stable for the
+  // service's lifetime: every store a rebase swaps in is built on the
+  // same schema.
   QueryService* service_;
   std::string store_name_;
+  const mctdb::mct::MctSchema* schema_;
   mctdb::wal::DurableStore* durable_;  // null for read-only stores
   CircuitBreaker* breaker_;            // owned by the service; may be null
   PlanCache* plan_cache_;              // owned by the service
-  uint64_t fingerprint_ = 0;
 
   mctdb::OrderedMutex mu_{mctdb::LockRank::kSessionStrand};
   std::deque<Task> tasks_;

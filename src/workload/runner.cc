@@ -1,14 +1,15 @@
 #include "workload/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <optional>
+#include <iterator>
+#include <thread>
 
 #include "analysis/plan_verify.h"
 #include "common/logging.h"
 #include "query/planner.h"
 #include "query/update_exec.h"
-#include "service/query_service.h"
 #include "wal/durable_store.h"
 #include "workload/update_gen.h"
 
@@ -37,44 +38,15 @@ Measurement MakeMeasurement(const std::string& schema,
   return m;
 }
 
-/// Shared admission check of both grid paths: statically verify the plan
-/// before executing it, so a malformed plan becomes a problem row instead
-/// of a crashed worker, with an identical message either way.
-bool VerifyPlanOrReport(const query::QueryPlan& plan,
-                        const std::string& name, const std::string& schema,
-                        std::vector<std::string>* problems) {
-  analysis::DiagnosticReport report = analysis::VerifyPlan(plan);
-  if (!report.has_errors()) return true;
-  problems->push_back(name + " on " + schema +
-                      ": plan verification failed:\n" + report.ToText());
-  return false;
-}
-
-/// Record `last` for the equivalence check: the first schema to report a
-/// query becomes the reference, later schemas must match it logically.
-void CheckEquivalence(const RunnerOptions& options,
-                      const query::AssociationQuery& q,
-                      const std::string& name, const std::string& schema,
-                      const query::ExecResult& last,
-                      std::map<std::string, std::vector<uint32_t>>* reference,
-                      std::vector<std::string>* problems) {
-  if (!options.check_equivalence || q.is_update()) return;
-  auto [it, inserted] = reference->emplace(name, last.logicals);
-  if (!inserted && it->second != last.logicals) {
-    problems->push_back("equivalence violation: " + name + " on " + schema);
-  }
-}
-
 /// Per-(schema, kind) rollup of the update ops applied during the grid.
 struct UpdateAgg {
   std::vector<double> times;
   uint64_t wal_appends = 0;
   uint64_t wal_fsyncs = 0;
   size_t elements = 0;
-  query::ExecResult last;  // unused fields stay zero for update rows
 };
 
-/// Applies ops[*next .. prefix) on schema i's durable store, rolling each
+/// Applies ops[*next .. prefix) on the schema's durable store, rolling each
 /// kind into its aggregate row. Apply failures become problem rows.
 void ApplyOpsUpTo(const std::vector<storage::UpdateOp>& ops, size_t prefix,
                   const std::string& schema, wal::DurableStore* durable,
@@ -99,234 +71,152 @@ void ApplyOpsUpTo(const std::vector<storage::UpdateOp>& ops, size_t prefix,
   }
 }
 
-/// The classic single-threaded grid loop over the stores' own pools. When
-/// `durables` is non-empty, the deterministic op stream `ops` is
-/// interleaved at identical grid positions on every schema.
-void RunGridSerial(const Workload& workload, const RunnerOptions& options,
-                   const std::vector<mct::MctSchema>& schemas,
-                   const std::vector<storage::MctStore*>& stores,
-                   const std::vector<wal::DurableStore*>& durables,
-                   const std::vector<storage::UpdateOp>& ops,
-                   RunSummary* summary) {
+/// A read query's logical answer, for the cross-schema equivalence check.
+struct Answer {
+  std::string query;
+  std::vector<uint32_t> logicals;
+  /// How many of the sequence's problems precede this answer: the merge
+  /// reports a violation at that point, as a serial loop would.
+  size_t problems_before = 0;
+};
+
+/// What one schema's whole sequence produced, in its own order.
+struct SchemaRun {
+  std::vector<Measurement> measurements;
+  std::vector<std::string> problems;
+  /// Read answers of the grid (when checking equivalence).
+  std::vector<Answer> answers;
+  /// Problems and read answers after the whole op stream (update mode,
+  /// when checking equivalence).
+  std::vector<std::string> post_update_problems;
+  std::vector<Answer> post_update_answers;
+};
+
+/// Runs one schema's whole sequence on its own store and pool: before each
+/// figure query the op prefix due by then (update mode, so every schema
+/// sees the same logical state at the same grid position), then planning,
+/// verification, the repetitions and the measurement; in update mode, the
+/// remaining ops, the U1-U3 rows and one more pass of the read queries.
+SchemaRun RunSchema(const Workload& workload, const RunnerOptions& options,
+                    const mct::MctSchema& schema, storage::MctStore* store,
+                    wal::DurableStore* durable,
+                    const std::vector<storage::UpdateOp>& ops) {
+  SchemaRun run;
   const size_t num_queries =
       std::max<size_t>(1, workload.figure_queries.size());
-  std::map<std::string, std::vector<uint32_t>> reference;
-  for (size_t i = 0; i < schemas.size(); ++i) {
-    std::map<std::string, UpdateAgg> update_rows;
-    size_t next_op = 0;
-    size_t query_index = 0;
-    for (const std::string& name : workload.figure_queries) {
-      if (!durables.empty()) {
-        // Same op prefix before query #qi on every schema, so the
-        // mid-grid equivalence checks compare identical logical states.
-        ApplyOpsUpTo(ops, ops.size() * query_index / num_queries,
-                     schemas[i].name(), durables[i], &next_op,
-                     &update_rows, &summary->problems);
-      }
-      ++query_index;
-      const query::AssociationQuery* q = workload.Find(name);
-      if (q == nullptr) {
-        summary->problems.push_back("unknown figure query " + name);
-        continue;
-      }
-      // Durable stores take their writes as the logged op stream above;
-      // an update-form query would rewrite them in place, unlogged.
-      if (!durables.empty() && q->is_update()) continue;
-      auto plan = query::PlanQuery(*q, schemas[i]);
-      if (!plan.ok()) {
-        summary->problems.push_back(name + " on " + schemas[i].name() +
-                                    ": " + plan.status().ToString());
-        continue;
-      }
-      if (!VerifyPlanOrReport(*plan, name, schemas[i].name(),
-                              &summary->problems)) {
-        continue;
-      }
-      query::Executor exec(stores[i]);
-      exec.set_snapshot(stores[i]->versioned() ? stores[i]->visible_lsn()
-                                               : kMaxLsn);
-      std::vector<double> times;
-      query::ExecResult last;
-      bool failed = false;
-      for (size_t rep = 0; rep < std::max<size_t>(1, options.repetitions);
-           ++rep) {
-        auto result = exec.Execute(*plan);
-        if (!result.ok()) {
-          summary->problems.push_back(name + " on " + schemas[i].name() +
-                                      ": " + result.status().ToString());
-          failed = true;
-          break;
-        }
-        times.push_back(result->elapsed_seconds);
-        last = *result;
-      }
-      if (failed) continue;
-      summary->measurements.push_back(MakeMeasurement(
-          schemas[i].name(), name, *q, plan->Stats(), std::move(times),
-          last));
-      CheckEquivalence(options, *q, name, schemas[i].name(), last,
-                       &reference, &summary->problems);
+  std::map<std::string, UpdateAgg> update_rows;
+  size_t next_op = 0;
+  size_t query_index = 0;
+  for (const std::string& name : workload.figure_queries) {
+    if (durable != nullptr) {
+      ApplyOpsUpTo(ops, ops.size() * query_index / num_queries,
+                   schema.name(), durable, &next_op, &update_rows,
+                   &run.problems);
     }
-    if (!durables.empty()) {
-      ApplyOpsUpTo(ops, ops.size(), schemas[i].name(), durables[i],
-                   &next_op, &update_rows, &summary->problems);
-      for (auto& [kind, row] : update_rows) {
-        if (row.times.empty()) continue;
-        Measurement m;
-        m.schema = schemas[i].name();
-        m.query = kind;
-        m.seconds = MedianSeconds(std::move(row.times));
-        m.elements_updated = row.elements;
-        m.wal_appends = row.wal_appends;
-        m.wal_fsyncs = row.wal_fsyncs;
-        summary->measurements.push_back(std::move(m));
-      }
+    ++query_index;
+    const query::AssociationQuery* q = workload.Find(name);
+    if (q == nullptr) {
+      run.problems.push_back("unknown figure query " + name);
+      continue;
     }
-  }
-  if (durables.empty() || !options.check_equivalence) return;
-  // Post-update equivalence: every schema applied the same op stream, so
-  // the updated stores must still agree on every read query.
-  std::map<std::string, std::vector<uint32_t>> post_reference;
-  for (size_t i = 0; i < schemas.size(); ++i) {
-    for (const std::string& name : workload.figure_queries) {
-      const query::AssociationQuery* q = workload.Find(name);
-      if (q == nullptr || q->is_update()) continue;
-      auto plan = query::PlanQuery(*q, schemas[i]);
-      if (!plan.ok()) continue;  // already reported in the grid pass
-      query::Executor exec(stores[i]);
-      exec.set_snapshot(stores[i]->visible_lsn());
+    // Durable stores take their writes as the logged op stream above; an
+    // update-form query would rewrite them in place, unlogged.
+    if (durable != nullptr && q->is_update()) continue;
+    auto plan = query::PlanQuery(*q, schema);
+    if (!plan.ok()) {
+      run.problems.push_back(name + " on " + schema.name() + ": " +
+                             plan.status().ToString());
+      continue;
+    }
+    // A malformed plan becomes a problem row instead of a crashed run.
+    analysis::DiagnosticReport report = analysis::VerifyPlan(*plan);
+    if (report.has_errors()) {
+      run.problems.push_back(name + " on " + schema.name() +
+                             ": plan verification failed:\n" +
+                             report.ToText());
+      continue;
+    }
+    query::Executor exec(store);
+    exec.set_snapshot(store->versioned() ? store->visible_lsn() : kMaxLsn);
+    std::vector<double> times;
+    query::ExecResult last;
+    bool failed = false;
+    for (size_t rep = 0; rep < std::max<size_t>(1, options.repetitions);
+         ++rep) {
       auto result = exec.Execute(*plan);
       if (!result.ok()) {
-        summary->problems.push_back("post-update " + name + " on " +
-                                    schemas[i].name() + ": " +
-                                    result.status().ToString());
-        continue;
+        run.problems.push_back(name + " on " + schema.name() + ": " +
+                               result.status().ToString());
+        failed = true;
+        break;
       }
-      auto [it, inserted] = post_reference.emplace(name, result->logicals);
-      if (!inserted && it->second != result->logicals) {
-        summary->problems.push_back("post-update equivalence violation: " +
-                                    name + " on " + schemas[i].name());
-      }
+      times.push_back(result->elapsed_seconds);
+      last = std::move(*result);
+    }
+    if (failed) continue;
+    run.measurements.push_back(MakeMeasurement(
+        schema.name(), name, *q, plan->Stats(), std::move(times), last));
+    if (options.check_equivalence && !q->is_update()) {
+      run.answers.push_back(
+          {name, std::move(last.logicals), run.problems.size()});
     }
   }
+  if (durable == nullptr) return run;
+  ApplyOpsUpTo(ops, ops.size(), schema.name(), durable, &next_op,
+               &update_rows, &run.problems);
+  for (auto& [kind, row] : update_rows) {
+    if (row.times.empty()) continue;
+    Measurement m;
+    m.schema = schema.name();
+    m.query = kind;
+    m.seconds = MedianSeconds(std::move(row.times));
+    m.elements_updated = row.elements;
+    m.wal_appends = row.wal_appends;
+    m.wal_fsyncs = row.wal_fsyncs;
+    run.measurements.push_back(std::move(m));
+  }
+  if (!options.check_equivalence) return run;
+  // Every schema applied the same op stream, so the updated stores must
+  // still agree on every read query.
+  for (const std::string& name : workload.figure_queries) {
+    const query::AssociationQuery* q = workload.Find(name);
+    if (q == nullptr || q->is_update()) continue;
+    auto plan = query::PlanQuery(*q, schema);
+    if (!plan.ok()) continue;  // already reported in the grid pass
+    query::Executor exec(store);
+    exec.set_snapshot(store->visible_lsn());
+    auto result = exec.Execute(*plan);
+    if (!result.ok()) {
+      run.post_update_problems.push_back("post-update " + name + " on " +
+                                         schema.name() + ": " +
+                                         result.status().ToString());
+      continue;
+    }
+    run.post_update_answers.push_back({name, std::move(result->logicals),
+                                       run.post_update_problems.size()});
+  }
+  return run;
 }
 
-/// Fans the grid through an mctsvc::QueryService: one session per schema
-/// keeps each store's query-and-update sequence in serial order (so
-/// results, including update side effects and page-miss counts on an
-/// unpressured pool, match the serial run), while schemas proceed in
-/// parallel on the worker pool.
-void RunGridParallel(const Workload& workload, const RunnerOptions& options,
-                     const std::vector<mct::MctSchema>& schemas,
-                     const std::vector<storage::MctStore*>& stores,
-                     RunSummary* summary) {
-  const size_t reps = std::max<size_t>(1, options.repetitions);
-
-  mctsvc::ServiceOptions sopts;
-  sopts.num_threads = options.num_threads;
-  sopts.pool_pages = options.store.buffer_pool_pages;
-  // The whole grid is staged up front; size the admission window for it.
-  sopts.max_queued =
-      schemas.size() * workload.figure_queries.size() * reps + 1;
-  mctsvc::QueryService service(sopts);
-
-  std::vector<std::shared_ptr<mctsvc::QueryService::Session>> sessions;
-  for (size_t i = 0; i < schemas.size(); ++i) {
-    Status added = service.AddStore(schemas[i].name(), stores[i]);
-    MCTDB_CHECK_MSG(added.ok(), added.ToString().c_str());
-    auto session = service.OpenSession(schemas[i].name());
-    MCTDB_CHECK_MSG(session.ok(), session.status().ToString().c_str());
-    sessions.push_back(*session);
-  }
-
-  struct Cell {
-    const query::AssociationQuery* q = nullptr;
-    std::string name;
-    std::optional<query::QueryPlan> plan;
-    std::vector<mctsvc::QueryFuture> rep_futures;
-  };
-  std::vector<std::vector<Cell>> grid(schemas.size());
-
-  // Planning phase: plan every cell into the grid (planning problems
-  // recorded in the same schema-major order as the serial loop). Nothing
-  // is submitted yet: the service keeps a pointer to each plan, so all
-  // cells must reach their final addresses first.
-  for (size_t i = 0; i < schemas.size(); ++i) {
-    for (const std::string& name : workload.figure_queries) {
-      Cell cell;
-      cell.name = name;
-      cell.q = workload.Find(name);
-      if (cell.q == nullptr) {
-        summary->problems.push_back("unknown figure query " + name);
-        grid[i].push_back(std::move(cell));
-        continue;
-      }
-      auto plan = query::PlanQuery(*cell.q, schemas[i]);
-      if (!plan.ok()) {
-        summary->problems.push_back(name + " on " + schemas[i].name() +
-                                    ": " + plan.status().ToString());
-        cell.q = nullptr;
-        grid[i].push_back(std::move(cell));
-        continue;
-      }
-      if (!VerifyPlanOrReport(*plan, name, schemas[i].name(),
-                              &summary->problems)) {
-        cell.q = nullptr;
-        grid[i].push_back(std::move(cell));
-        continue;
-      }
-      cell.plan = std::move(*plan);
-      grid[i].push_back(std::move(cell));
+/// Appends one schema's problems to `out` with its answers checked against
+/// `reference` in between: the first schema to answer a query becomes the
+/// reference, later schemas must match it logically.
+void MergeProblems(const std::string& schema,
+                   const std::vector<std::string>& problems,
+                   const std::vector<Answer>& answers, const char* violation,
+                   std::map<std::string, std::vector<uint32_t>>* reference,
+                   std::vector<std::string>* out) {
+  size_t reported = 0;
+  for (const Answer& answer : answers) {
+    while (reported < answer.problems_before) {
+      out->push_back(problems[reported++]);
+    }
+    auto [it, inserted] = reference->emplace(answer.query, answer.logicals);
+    if (!inserted && it->second != answer.logicals) {
+      out->push_back(violation + answer.query + " on " + schema);
     }
   }
-
-  // Submission phase: stage every cell's repetitions on its schema's
-  // session. The grid is fully built, so plan addresses are stable for the
-  // lifetime of the in-flight requests.
-  for (size_t i = 0; i < schemas.size(); ++i) {
-    for (Cell& cell : grid[i]) {
-      if (cell.q == nullptr) continue;
-      for (size_t rep = 0; rep < reps; ++rep) {
-        // kHigh: the runner sized max_queued to hold the whole batch and
-        // has no interactive traffic to protect, so the load-shedding
-        // watermarks must not apply to its own staged submissions.
-        auto future =
-            sessions[i]->Submit(*cell.plan, 0.0, mctsvc::Priority::kHigh);
-        MCTDB_CHECK_MSG(future.ok(), future.status().ToString().c_str());
-        cell.rep_futures.push_back(std::move(*future));
-      }
-    }
-  }
-
-  // Gather phase, schema-major like the serial loop, so measurements,
-  // equivalence references, and problem ordering come out identical.
-  std::map<std::string, std::vector<uint32_t>> reference;
-  for (size_t i = 0; i < schemas.size(); ++i) {
-    for (Cell& cell : grid[i]) {
-      if (cell.q == nullptr) continue;
-      std::vector<double> times;
-      query::ExecResult last;
-      bool failed = false;
-      for (auto& future : cell.rep_futures) {
-        auto result = future.get();
-        if (!result.ok()) {
-          summary->problems.push_back(cell.name + " on " +
-                                      schemas[i].name() + ": " +
-                                      result.status().ToString());
-          failed = true;
-          break;
-        }
-        times.push_back(result->elapsed_seconds);
-        last = std::move(*result);
-      }
-      if (failed) continue;
-      summary->measurements.push_back(MakeMeasurement(
-          schemas[i].name(), cell.name, *cell.q, cell.plan->Stats(),
-          std::move(times), last));
-      CheckEquivalence(options, *cell.q, cell.name, schemas[i].name(), last,
-                       &reference, &summary->problems);
-    }
-  }
+  out->insert(out->end(), problems.begin() + reported, problems.end());
 }
 
 }  // namespace
@@ -397,13 +287,41 @@ Result<RunSummary> RunWorkload(const Workload& workload,
   summary.setup_seconds =
       std::chrono::duration<double>(grid_start - setup_start).count();
 
-  if (options.num_threads > 1 && durables.empty()) {
-    RunGridParallel(workload, options, schemas, raw_stores, &summary);
-  } else {
-    // Update mode always runs serial: the op stream must hit identical
-    // grid positions on every schema for mid-run equivalence to hold.
-    RunGridSerial(workload, options, schemas, raw_stores, durables, ops,
-                  &summary);
+  // One schema's sequence per task, on up to num_threads threads (the
+  // calling thread is one of them). Each store and its own pool serve one
+  // thread at a time, as in a serial loop, so every counter matches.
+  std::vector<SchemaRun> runs(schemas.size());
+  std::atomic<size_t> next_schema{0};
+  auto work = [&] {
+    for (size_t i = next_schema++; i < schemas.size(); i = next_schema++) {
+      runs[i] = RunSchema(workload, options, schemas[i], raw_stores[i],
+                          durables.empty() ? nullptr : durables[i], ops);
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;  // joined at the end of the block
+    for (size_t t = 1; t < std::min(options.num_threads, schemas.size());
+         ++t) {
+      helpers.emplace_back(work);
+    }
+    work();
+  }
+
+  // Merged in schema order, so rows, problems and equivalence references
+  // come out as a serial run's whatever the thread count.
+  std::map<std::string, std::vector<uint32_t>> reference;
+  for (size_t i = 0; i < schemas.size(); ++i) {
+    std::move(runs[i].measurements.begin(), runs[i].measurements.end(),
+              std::back_inserter(summary.measurements));
+    MergeProblems(schemas[i].name(), runs[i].problems, runs[i].answers,
+                  "equivalence violation: ", &reference, &summary.problems);
+  }
+  std::map<std::string, std::vector<uint32_t>> post_reference;
+  for (size_t i = 0; i < schemas.size(); ++i) {
+    MergeProblems(schemas[i].name(), runs[i].post_update_problems,
+                  runs[i].post_update_answers,
+                  "post-update equivalence violation: ", &post_reference,
+                  &summary.problems);
   }
   summary.grid_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

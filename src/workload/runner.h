@@ -36,15 +36,14 @@ struct RunnerOptions {
   /// "U1"/"U2"/"U3" report median op latency plus wal_appends/wal_fsyncs,
   /// and after the grid the runner re-checks read-query equivalence on
   /// the updated stores. The workload's update-form queries are skipped:
-  /// the op stream is the durable stores' only writer. Update mode forces
-  /// the serial grid path.
+  /// the op stream is the durable stores' only writer.
   double update_fraction = 0.0;
-  /// Worker threads for the measurement grid. 1 = the classic serial
-  /// loop; > 1 fans the (schema x query) grid out through an
-  /// mctsvc::QueryService — one session per schema (so each store's
-  /// queries, updates included, keep their serial order and results)
-  /// running in parallel across schemas. Equivalence checking and
-  /// median-of-repetitions semantics are unchanged.
+  /// Threads for the measurement grid: each runs whole schemas (a schema's
+  /// queries, ops and post-update reads in order, on its store's own
+  /// pool), up to one thread per schema; 0 and 1 run every schema on the
+  /// calling thread. Results are merged in schema order, so every row,
+  /// counter, problem and equivalence verdict equals the one-thread run's;
+  /// only times differ.
   size_t num_threads = 1;
   storage::StoreOptions store;
 };

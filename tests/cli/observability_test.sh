@@ -82,10 +82,10 @@ else
   else
     echo "ok: crash dump decodes with WAL events"
   fi
-  # `mctc trace --blackbox` renders the same dump filtered to one trace.
-  "$MCTC" trace --blackbox "$CRASH_DUMP" --json > "$TMP/bb.json" 2>&1
+  # `--json` renders the same dump as one JSON document.
+  "$MCTC" blackbox "$CRASH_DUMP" --json > "$TMP/bb.json" 2>&1
   if [ $? -ne 0 ] || ! grep -q '"events"' "$TMP/bb.json"; then
-    fail "trace --blackbox could not render the dump"
+    fail "blackbox --json could not render the dump"
   fi
 fi
 

@@ -278,8 +278,12 @@ class ServiceExpositionTest : public testing::Test {
     ASSERT_TRUE(service_->AddDurableStore(kWeirdStore, durable_.get()).ok());
     ASSERT_TRUE(service_->AddStore("ro", read_only_.get()).ok());
     for (const char* store : {kWeirdStore, "ro"}) {
+      auto session = service_->OpenSession(store);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
       for (const char* query : {"Q1", "Q3"}) {
-        auto r = service_->ExecuteQuery(store, *workload_->Find(query));
+        auto f = (*session)->SubmitQuery(*workload_->Find(query));
+        ASSERT_TRUE(f.ok()) << f.status().ToString();
+        auto r = f->get();
         ASSERT_TRUE(r.ok()) << r.status().ToString();
       }
     }

@@ -17,7 +17,6 @@
 #include "common/failpoint.h"
 #include "design/designer.h"
 #include "instance/materialize.h"
-#include "query/planner.h"
 #include "service/query_service.h"
 #include "workload/workload.h"
 
@@ -257,9 +256,11 @@ TEST_F(HttpServiceTest, MetricsScrapeDuringTrafficIncludesPoolSeries) {
 
   const mctdb::query::AssociationQuery* q = w_->Find("Q1");
   ASSERT_NE(q, nullptr);
-  auto plan = mctdb::query::PlanQuery(*q, *schema_);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(service.Execute("we\"ird\\store", *plan).ok());
+  auto session = service.OpenSession("we\"ird\\store");
+  ASSERT_TRUE(session.ok());
+  auto future = (*session)->SubmitQuery(*q);
+  ASSERT_TRUE(future.ok()) << future.status().ToString();
+  ASSERT_TRUE(future->get().ok());
   service.Drain();
 
   std::string response = Get(service.HttpPort(), "/metrics");
@@ -295,8 +296,8 @@ TEST_F(HttpServiceTest, HealthzTurns503WhileABreakerIsOpen) {
 
   const mctdb::query::AssociationQuery* q = w_->Find("Q1");
   ASSERT_NE(q, nullptr);
-  auto plan = mctdb::query::PlanQuery(*q, *schema_);
-  ASSERT_TRUE(plan.ok());
+  auto session = service.OpenSession("tpcw");
+  ASSERT_TRUE(session.ok());
 
   // Healthy service: 200.
   std::string healthy = Get(service.HttpPort(), "/healthz");
@@ -307,8 +308,9 @@ TEST_F(HttpServiceTest, HealthzTurns503WhileABreakerIsOpen) {
   // balancer polling /healthz now sees 503 and drains this replica.
   {
     mctdb::failpoint::FailpointGuard guard("service.exec", "err");
-    auto result = service.Execute("tpcw", *plan);
-    ASSERT_FALSE(result.ok());
+    auto future = (*session)->SubmitQuery(*q);
+    ASSERT_TRUE(future.ok()) << future.status().ToString();
+    ASSERT_FALSE(future->get().ok());
   }
   std::string degraded = Get(service.HttpPort(), "/healthz");
   EXPECT_NE(degraded.find("503"), std::string::npos) << degraded;

@@ -1,5 +1,5 @@
-// PlanCache unit tests: key composition, the strict LSN/generation
-// freshness guard, LRU eviction, and shared_ptr pinning semantics.
+// PlanCache unit tests: lookup outcomes, the generation guard, LRU
+// eviction, and shared_ptr pinning semantics.
 #include "service/plan_cache.h"
 
 #include <gtest/gtest.h>
@@ -10,120 +10,103 @@
 namespace mctsvc {
 namespace {
 
-std::shared_ptr<CachedPlan> Entry(mctdb::Lsn built_lsn,
-                                  uint64_t generation) {
+std::shared_ptr<CachedPlan> Entry(uint64_t generation,
+                                  std::string name = "") {
   auto e = std::make_shared<CachedPlan>();
-  e->built_lsn = built_lsn;
   e->generation = generation;
+  e->query.name = std::move(name);
   return e;
-}
-
-TEST(PlanCacheTest, KeySeparatesStoreSchemaAndQuery) {
-  std::string a = PlanCache::Key(1, "EN", "q{...}");
-  EXPECT_NE(a, PlanCache::Key(2, "EN", "q{...}"));
-  EXPECT_NE(a, PlanCache::Key(1, "DEEP", "q{...}"));
-  EXPECT_NE(a, PlanCache::Key(1, "EN", "q{...x}"));
-  EXPECT_EQ(a, PlanCache::Key(1, "EN", "q{...}"));
 }
 
 TEST(PlanCacheTest, LookupOutcomesHitMissInvalidated) {
   PlanCache cache(4);
   LookupOutcome outcome;
-  EXPECT_EQ(cache.Lookup("k", 5, &outcome), nullptr);
+  EXPECT_EQ(cache.Lookup("k", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kMiss);
 
-  cache.Insert("k", Entry(5, cache.generation()));
-  auto hit = cache.Lookup("k", 5, &outcome);
+  cache.Insert("k", Entry(cache.generation(), "Q1"));
+  auto hit = cache.Lookup("k", &outcome);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kHit);
-  EXPECT_EQ(hit->built_lsn, 5u);
+  EXPECT_EQ(hit->query.name, "Q1");
 
-  // The store's visible LSN moved (an update committed): the entry is
-  // stale, dropped on lookup, and the slot is a clean miss afterwards.
-  EXPECT_EQ(cache.Lookup("k", 6, &outcome), nullptr);
+  // A checkpoint ran: the entry is stale, dropped on lookup, and the slot
+  // is a clean miss afterwards.
+  cache.BumpGeneration();
+  EXPECT_EQ(cache.Lookup("k", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kInvalidated);
-  EXPECT_EQ(cache.Lookup("k", 6, &outcome), nullptr);
+  EXPECT_EQ(cache.Lookup("k", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kMiss);
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(PlanCacheTest, OlderVisibleLsnAlsoInvalidates) {
-  // Freshness is equality, not ordering: a plan built at LSN 7 must not
-  // serve a session whose visible LSN is 6 (e.g. after a store swap).
-  PlanCache cache(4);
-  cache.Insert("k", Entry(7, cache.generation()));
-  LookupOutcome outcome;
-  EXPECT_EQ(cache.Lookup("k", 6, &outcome), nullptr);
-  EXPECT_EQ(outcome, LookupOutcome::kInvalidated);
 }
 
 TEST(PlanCacheTest, GenerationBumpInvalidatesEverything) {
   PlanCache cache(4);
-  cache.Insert("a", Entry(1, cache.generation()));
-  cache.Insert("b", Entry(1, cache.generation()));
+  cache.Insert("a", Entry(cache.generation()));
+  cache.Insert("b", Entry(cache.generation()));
   ASSERT_EQ(cache.size(), 2u);
 
-  cache.BumpGeneration();  // a checkpoint relabeled intervals
+  cache.BumpGeneration();  // a checkpoint ran
 
   LookupOutcome outcome;
-  EXPECT_EQ(cache.Lookup("a", 1, &outcome), nullptr);
+  EXPECT_EQ(cache.Lookup("a", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kInvalidated);
-  EXPECT_EQ(cache.Lookup("b", 1, &outcome), nullptr);
+  EXPECT_EQ(cache.Lookup("b", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kInvalidated);
   EXPECT_EQ(cache.size(), 0u);
 
   // Entries built under the NEW generation hit again.
-  cache.Insert("a", Entry(1, cache.generation()));
-  EXPECT_NE(cache.Lookup("a", 1, &outcome), nullptr);
+  cache.Insert("a", Entry(cache.generation()));
+  EXPECT_NE(cache.Lookup("a", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kHit);
 }
 
 TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
   PlanCache cache(2);
-  cache.Insert("a", Entry(1, cache.generation()));
-  cache.Insert("b", Entry(1, cache.generation()));
+  cache.Insert("a", Entry(cache.generation()));
+  cache.Insert("b", Entry(cache.generation()));
   LookupOutcome outcome;
   // Touch "a" so "b" is now the coldest.
-  ASSERT_NE(cache.Lookup("a", 1, &outcome), nullptr);
-  cache.Insert("c", Entry(1, cache.generation()));
+  ASSERT_NE(cache.Lookup("a", &outcome), nullptr);
+  cache.Insert("c", Entry(cache.generation()));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.Lookup("a", 1, &outcome), nullptr);
-  EXPECT_NE(cache.Lookup("c", 1, &outcome), nullptr);
-  EXPECT_EQ(cache.Lookup("b", 1, &outcome), nullptr);
+  EXPECT_NE(cache.Lookup("a", &outcome), nullptr);
+  EXPECT_NE(cache.Lookup("c", &outcome), nullptr);
+  EXPECT_EQ(cache.Lookup("b", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kMiss);
 }
 
 TEST(PlanCacheTest, ReplacingAKeyKeepsCapacityAccounting) {
   PlanCache cache(2);
-  cache.Insert("a", Entry(1, cache.generation()));
-  cache.Insert("a", Entry(2, cache.generation()));
+  cache.Insert("a", Entry(cache.generation(), "first"));
+  cache.Insert("a", Entry(cache.generation(), "second"));
   EXPECT_EQ(cache.size(), 1u);
   LookupOutcome outcome;
-  auto got = cache.Lookup("a", 2, &outcome);
+  auto got = cache.Lookup("a", &outcome);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->built_lsn, 2u);
+  EXPECT_EQ(got->query.name, "second");
 }
 
 TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
   PlanCache cache(0);
-  cache.Insert("a", Entry(1, cache.generation()));
+  cache.Insert("a", Entry(cache.generation()));
   EXPECT_EQ(cache.size(), 0u);
   LookupOutcome outcome;
-  EXPECT_EQ(cache.Lookup("a", 1, &outcome), nullptr);
+  EXPECT_EQ(cache.Lookup("a", &outcome), nullptr);
   EXPECT_EQ(outcome, LookupOutcome::kMiss);
 }
 
 TEST(PlanCacheTest, EvictionCannotDangleAHeldEntry) {
   PlanCache cache(1);
-  cache.Insert("a", Entry(9, cache.generation()));
+  cache.Insert("a", Entry(cache.generation(), "held"));
   LookupOutcome outcome;
-  std::shared_ptr<const CachedPlan> held = cache.Lookup("a", 9, &outcome);
+  std::shared_ptr<const CachedPlan> held = cache.Lookup("a", &outcome);
   ASSERT_NE(held, nullptr);
-  cache.Insert("b", Entry(1, cache.generation()));  // evicts "a"
-  EXPECT_EQ(cache.Lookup("a", 9, &outcome), nullptr);
+  cache.Insert("b", Entry(cache.generation()));  // evicts "a"
+  EXPECT_EQ(cache.Lookup("a", &outcome), nullptr);
   // The holder keeps the evicted entry alive — this is what lets a queued
   // task keep pointing into a cached plan across evictions.
-  EXPECT_EQ(held->built_lsn, 9u);
+  EXPECT_EQ(held->query.name, "held");
 }
 
 }  // namespace

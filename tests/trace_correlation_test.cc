@@ -155,7 +155,7 @@ TEST_F(TraceCorrelationTest, ShedRequestsLandInSlowLogWithOutcome) {
   ASSERT_TRUE(durable.ok());
   ServiceOptions options;
   options.num_threads = 1;
-  options.max_queued = 2;
+  options.max_queued = 10;      // reads shed past 9 in flight
   options.start_paused = true;  // park workers: staging is deterministic
   // The slow log must be ON for rejection records (threshold is irrelevant
   // to them — admission verdicts bypass it).
@@ -167,26 +167,26 @@ TEST_F(TraceCorrelationTest, ShedRequestsLandInSlowLogWithOutcome) {
 
   const mctdb::query::AssociationQuery* q = w_->Find("Q1");
   ASSERT_NE(q, nullptr);
-  // Fill the queue above the kNormal shed watermark with kHigh requests
-  // (which bypass shedding), then watch a kNormal submit get shed.
-  auto f1 = (*session)->SubmitQuery(*q, 0.0, Priority::kHigh);
-  ASSERT_TRUE(f1.ok());
-  auto f2 = (*session)->SubmitQuery(*q, 0.0, Priority::kHigh);
-  ASSERT_TRUE(f2.ok());
-  auto shed = (*session)->SubmitQuery(*q, 0.0, Priority::kNormal);
+  // Fill the queue to the shed watermark with parked reads, then watch the
+  // next read get shed.
+  std::vector<QueryFuture> parked;
+  for (int i = 0; i < 9; ++i) {
+    auto f = (*session)->SubmitQuery(*q);
+    ASSERT_TRUE(f.ok()) << i << ": " << f.status().ToString();
+    parked.push_back(std::move(*f));
+  }
+  auto shed = (*session)->SubmitQuery(*q);
   EXPECT_FALSE(shed.ok());
 
   std::vector<QueryService::SlowQueryRecord> log = service.SlowQueries();
   ASSERT_FALSE(log.empty()) << "the turned-away request must be logged";
   const QueryService::SlowQueryRecord& rec = log.back();
-  EXPECT_TRUE(rec.outcome == "shed" || rec.outcome == "rejected")
-      << rec.outcome;
+  EXPECT_EQ(rec.outcome, "shed");
   EXPECT_NE(rec.trace_id, 0u);
   EXPECT_EQ(rec.store, "tpcw");
   // The flight recorder saw the same verdict under the same trace.
   std::vector<flight::Event> events = ForTrace(rec.trace_id);
-  EXPECT_TRUE(HasSite(events, flight::Site::kShed) ||
-              HasSite(events, flight::Site::kReject));
+  EXPECT_TRUE(HasSite(events, flight::Site::kShed));
   // And the JSON export carries the new fields.
   const std::string json = service.SlowQueriesJson();
   EXPECT_NE(json.find("\"outcome\":"), std::string::npos) << json;

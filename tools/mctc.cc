@@ -9,16 +9,14 @@
 //                          [--update-fraction F]
 //                                             run the emulated workload grid
 //   mctc trace    <file.er> [--query NAME] [-s STRATEGY] [--json] [--base N]
-//                 [--updates] [--id N] [--blackbox FILE]
+//                 [--updates] [--id N]
 //                                             execute the workload queries and
 //                                             print each one's stage-span
 //                                             trace (exact per-query I/O);
 //                                             --id runs them through the query
 //                                             service with the flight recorder
 //                                             on and prints the end-to-end
-//                                             timeline of one trace (0 = all);
-//                                             --blackbox reads the events from
-//                                             a recorder dump instead
+//                                             timeline of one trace (0 = all)
 //   mctc blackbox <dump> [--json] [--id N]    decode a flight-recorder dump
 //   mctc lint     <file.er> [--json] [--schema-only] [--grid]
 //                 [--query NAME|MCXPATH] [--store PATH]
@@ -134,7 +132,7 @@ int Usage() {
       "           [--update-fraction F]\n"
       "  trace    <file.er> [--query NAME] [-s STRATEGY] [--json]"
       " [--base N]\n"
-      "           [--updates] [--id N] [--blackbox FILE]\n"
+      "           [--updates] [--id N]\n"
       "  blackbox <dump> [--json] [--id N]\n"
       "  lint     <file.er> [--json] [--schema-only] [--grid]"
       " [--query NAME|MCXPATH]\n"
@@ -443,7 +441,6 @@ int CmdTrace(int argc, char** argv) {
   const char* path = nullptr;
   const char* strategy_name = "MCMR";
   const char* query_name = nullptr;
-  const char* blackbox_path = nullptr;
   bool json = false;
   bool updates = false;
   bool has_id = false;
@@ -461,31 +458,11 @@ int CmdTrace(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--id") && i + 1 < argc) {
       has_id = true;
       if (!ParseFlag("--id", argv[++i], &trace_filter)) return 1;
-    } else if (!std::strcmp(argv[i], "--blackbox") && i + 1 < argc) {
-      blackbox_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--base") && i + 1 < argc) {
       if (!ParseFlag("--base", argv[++i], &base_count)) return 1;
     } else if (path == nullptr) {
       path = argv[i];
     }
-  }
-  // --blackbox: the events come from a recorder dump, no workload run (and
-  // no .er file) needed — render the chosen trace's timeline and exit.
-  if (blackbox_path != nullptr) {
-    auto events = obs::flight::DecodeFile(blackbox_path);
-    if (!events.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   events.status().ToString().c_str());
-      return 2;
-    }
-    if (json) {
-      std::printf("%s\n",
-                  obs::flight::RenderJson(*events, trace_filter).c_str());
-    } else {
-      std::printf("%s",
-                  obs::flight::RenderText(*events, trace_filter).c_str());
-    }
-    return 0;
   }
   if (path == nullptr) return Usage();
   auto diagram = LoadEr(path);
@@ -1250,8 +1227,6 @@ int CmdServe(int argc, char** argv) {
   // buffer while the workload runs.
   std::fflush(stdout);
 
-  // Keep every plan alive until its future resolves.
-  std::vector<std::unique_ptr<query::QueryPlan>> plans;
   size_t executed = 0, failed = 0;
   for (size_t pass = 0; pass < passes; ++pass) {
     for (size_t i = 0; i < schemas.size(); ++i) {
@@ -1266,13 +1241,7 @@ int CmdServe(int argc, char** argv) {
         const query::AssociationQuery* q = w.Find(name);
         // Durable stores take writes only through POST /update.
         if (updates && q->is_update()) continue;
-        auto plan = query::PlanQuery(*q, schemas[i]);
-        if (!plan.ok()) {
-          ++failed;
-          continue;
-        }
-        plans.push_back(std::make_unique<query::QueryPlan>(std::move(*plan)));
-        auto future = (*session)->Submit(*plans.back());
+        auto future = (*session)->SubmitQuery(*q);
         if (!future.ok()) {
           ++failed;
           continue;
