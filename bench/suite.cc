@@ -10,13 +10,18 @@
 #include "design/algorithm_mc.h"
 #include "design/algorithm_mcmr.h"
 #include "er/er_random.h"
+#include "instance/materialize.h"
+#include "query/executor.h"
 #include "query/planner.h"
 #include "query/structural_join.h"
+#include "query/update_exec.h"
 #include "storage/pager.h"
 #include "storage/posting.h"
 #include "storage/sharded_pool.h"
+#include "wal/durable_store.h"
 #include "workload/metrics.h"
 #include "workload/runner.h"
+#include "workload/update_gen.h"
 
 namespace mctdb::bench {
 
@@ -211,6 +216,76 @@ BenchReport RunParallel(const SuiteOptions& options) {
   return report;
 }
 
+// The TPC-W read grid on versioned stores: per schema, an ephemeral
+// durable store takes a fixed single-schema U1-U3 stream, then each read
+// figure query runs at the final snapshot. Counters come from the query's
+// first run on a pool of its own (exact pages it touches, cold); the
+// median is over `repetitions` warm runs. A versioned scan that stopped
+// using the posting index would show here as more page misses and fewer
+// index seeks than on the read-only grid.
+BenchReport RunVersioned(const SuiteOptions& options) {
+  BenchReport report = NewReport("versioned", options, options.repetitions);
+  const workload::Workload w = workload::TpcwWorkload(options.scale);
+  const er::ErGraph graph(w.diagram);
+  design::Designer designer(graph);
+  const instance::LogicalInstance logical =
+      instance::GenerateInstance(graph, w.gen);
+  for (design::Strategy strategy : design::AllStrategies()) {
+    const mct::MctSchema schema = designer.Design(strategy);
+    auto durable = wal::DurableStore::Ephemeral(
+        instance::Materialize(logical, schema));
+    if (!durable.ok()) {
+      report.problems.push_back(schema.name() + ": " +
+                                durable.status().ToString());
+      continue;
+    }
+    workload::UpdateGenOptions gen;
+    gen.num_ops = 24;
+    query::UpdateExecutor updates(durable->get());
+    for (const storage::UpdateOp& op :
+         workload::GenerateUpdateOps({schema}, logical, gen)) {
+      auto applied = updates.Execute(op);
+      if (!applied.ok()) {
+        report.problems.push_back(schema.name() + ": " +
+                                  storage::DebugString(op) + ": " +
+                                  applied.status().ToString());
+      }
+    }
+    storage::MctStore* store = (*durable)->store();
+    for (const std::string& name : w.figure_queries) {
+      const query::AssociationQuery* q = w.Find(name);
+      if (q->is_update()) continue;
+      auto plan = query::PlanQuery(*q, schema);
+      if (!plan.ok()) {
+        report.problems.push_back(name + " on " + schema.name() + ": " +
+                                  plan.status().ToString());
+        continue;
+      }
+      storage::ShardedBufferPool pool(
+          store->pager(), storage::StoreOptions().buffer_pool_pages,
+          /*num_shards=*/1);
+      query::Executor exec(store, &pool);
+      exec.set_snapshot(store->visible_lsn());
+      auto cold = exec.Execute(*plan);
+      if (!cold.ok()) {
+        report.problems.push_back(name + " on " + schema.name() + ": " +
+                                  cold.status().ToString());
+        continue;
+      }
+      QueryRecord& r = report.Add(schema.name(), name);
+      r.median_seconds =
+          MedianOf(options.repetitions, [&] { (void)exec.Execute(*plan); });
+      r.page_hits = cold->page_hits;
+      r.page_misses = cold->page_misses;
+      r.join_pairs = cold->join_pairs;
+      r.Extra("index_seeks", double(cold->index_seeks))
+          .Extra("unique_results", double(cold->unique_count))
+          .Extra("raw_results", double(cold->raw_count));
+    }
+  }
+  return report;
+}
+
 er::ErDiagram RandomDiagram(size_t entities) {
   Rng rng(entities * 7919);
   er::RandomErOptions opts;
@@ -385,6 +460,10 @@ const std::vector<BenchmarkDef>& RegisteredBenchmarks() {
            "posting scans per pool size (exact hits/misses) and stack-tree "
            "joins (exact pairs)",
            &RunPrimitives},
+          {"versioned",
+           "TPC-W read grid on WAL-backed stores after a U1-U3 stream: exact "
+           "cold I/O, index seeks and result counts at the final snapshot",
+           &RunVersioned},
       };
   return *benches;
 }

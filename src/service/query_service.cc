@@ -953,10 +953,11 @@ Status QueryService::Session::Admit(Task task, double timeout_seconds) {
   }
   // Load shedding: past the watermark a read is shed now — cheaper for
   // everyone than queueing work that will crowd out updates and requests
-  // already admitted. Updates ride until the hard limit. The hint assumes
-  // the backlog drains at the observed mean latency across the worker
-  // pool.
-  if (task.op == nullptr &&
+  // already admitted. Updates ride until the hard limit, and so does a
+  // read with nothing else in flight (a one-slot window's watermark sits
+  // below one request). The hint assumes the backlog drains at the
+  // observed mean latency across the worker pool.
+  if (task.op == nullptr && in_flight > 1 &&
       double(in_flight) > kShedFraction * double(svc->options_.max_queued)) {
     svc->FinishOne();
     svc->metrics_.sheds.fetch_add(1, std::memory_order_relaxed);

@@ -119,7 +119,8 @@ class QueryService {
   static constexpr size_t kSlowQueryLogCapacity = 32;
   /// Reads are shed once the in-flight count passes this fraction of
   /// max_queued, keeping the rest of the window for updates and work
-  /// already admitted.
+  /// already admitted. A read that is the only request in flight is never
+  /// shed, so a one-slot service still serves reads.
   static constexpr double kShedFraction = 0.9;
 
   explicit QueryService(const ServiceOptions& options = {});

@@ -8,6 +8,11 @@
 // never invalidate a reader's view (copy-on-write at the granularity of
 // posting entries and attribute revisions, keyed by LSN; DESIGN.md §13).
 //
+// Placement deltas are kept twice, once per way they are read: by element
+// (label_added / label_removed, for Label, ColorEntries and the applier)
+// and by posting list (posting_adds / posting_removes, for scans). A scan
+// of one (color, tag) reads only that list's own inserts and deletes.
+//
 // Locking: `mu` guards every container. Writers (one at a time, serialized
 // by DurableStore's write mutex) take it exclusively for the short apply
 // step only — never across an fsync. Readers take it shared per lookup,
@@ -33,7 +38,8 @@ namespace mctdb::storage {
 
 class MctStore;
 
-/// One versioned posting insert: the entry becomes visible at `lsn`.
+/// One versioned placement change: `entry` appears (an insert) or
+/// disappears (a delete) for snapshots at or after `lsn`.
 struct DeltaPostingEntry {
   Lsn lsn = kNoLsn;
   LabelEntry entry;
@@ -49,11 +55,17 @@ class StoreDeltas {
  public:
   mutable std::shared_mutex mu;
 
-  /// posting_adds[color][tag]: inserts in start order (inserts always land
-  /// inside a parent gap with fresh ascending labels, so append order is
-  /// start order per parent; a per-scan sort makes it globally true).
-  /// Indexed sparsely through maps — most (color, tag) pairs never change.
+  /// posting_adds[PostingKey(color, tag)]: the list's inserts in apply
+  /// order (start order within one parent gap; a per-scan sort makes it
+  /// globally true). Indexed sparsely — most (color, tag) pairs never
+  /// change.
   std::unordered_map<uint64_t, std::vector<DeltaPostingEntry>> posting_adds;
+  /// posting_removes[PostingKey(color, tag)]: the list's deletes in apply
+  /// order, each the removed label. A label value names one placement in
+  /// its color until the next checkpoint (never reused, see
+  /// UpdateApplier::HasAnyLabel), so a delete matches its entry by start.
+  std::unordered_map<uint64_t, std::vector<DeltaPostingEntry>>
+      posting_removes;
   /// label_removed[color]: elem -> LSN at which the element's placement in
   /// that color disappeared (subtree delete).
   std::vector<std::unordered_map<ElemId, Lsn>> label_removed;
@@ -96,10 +108,10 @@ class StoreDeltas {
   }
 };
 
-/// Sequential merge of a base posting list with the snapshot-visible delta
-/// inserts of the same (color, tag), minus the placements deleted at or
-/// before the snapshot: the executor's scan path. On an unversioned store
-/// it forwards the plain base cursor's page spans.
+/// The executor's scan of one posting list at one snapshot: the base pages
+/// of (color, tag), that list's snapshot-visible inserts merged in, and its
+/// snapshot-visible deletes left out, in start order. On a read-only store
+/// or an untouched list it forwards the plain base cursor's page spans.
 class MergedPostingCursor {
  public:
   MergedPostingCursor(ShardedBufferPool* pool, const MctStore& store,
@@ -107,39 +119,35 @@ class MergedPostingCursor {
                       obs::ExecStats* stats = nullptr);
 
   /// Block-at-a-time read; false at end of the merged list or on a base
-  /// page fetch failure (latched on status(), like PostingCursor). Fast
-  /// path: while no snapshot-visible insert or delete remains to merge,
-  /// base page spans are forwarded zero-copy (on a read-only store — or an
-  /// untouched (color, tag) — every span is a whole pinned page).
-  /// Otherwise one block's worth of entries is merged into an internal
-  /// buffer and returned as a span over it. Spans stay valid until the
-  /// next cursor call; entries arrive in global start order either way.
+  /// page fetch failure (latched on status(), like PostingCursor). Every
+  /// span is zero-copy: a run of one pinned base page, cut only at the
+  /// start of a visible insert or delete that falls inside it (a deleted
+  /// entry is stepped over), or a run of the sorted inserts that open
+  /// before the next base entry or after the last one. Spans stay valid
+  /// until the next cursor call.
   bool NextSpan(const LabelEntry** data, size_t* count);
   /// Installs index-assisted bounds on the base scan (page-granular skip
-  /// hints; see ScanBounds). Call before the first read. Delta inserts
-  /// are not filtered — bounds are necessary-condition hints, never
-  /// exactness guarantees.
+  /// hints; see ScanBounds). Call before the first read. Inserts are not
+  /// filtered — bounds are necessary-condition hints, never exactness
+  /// guarantees.
   void ApplyBounds(const ScanBounds& bounds);
   const Status& status() const { return status_; }
-  /// Base entries + visible inserts (before delete filtering); an upper
-  /// bound used for span cardinality.
-  size_t upper_bound() const { return base_count_ + extra_.size(); }
+  /// Base entries + visible inserts that are not deleted (base deletes
+  /// not subtracted); an upper bound used for span cardinality.
+  size_t upper_bound() const { return base_count_ + adds_.size(); }
 
  private:
-  /// One merged entry; NextSpan's merge path.
-  bool Next(LabelEntry* out);
-
   std::optional<PostingCursor> base_;
   size_t base_count_ = 0;
-  /// Snapshot-visible inserts, start order.
-  std::vector<LabelEntry> extra_;
-  size_t extra_index_ = 0;
-  /// Placements deleted at or before the snapshot.
-  std::unordered_map<ElemId, Lsn> removed_;
-  bool base_pending_ = false;
-  LabelEntry base_next_{};
-  /// Merge buffer for NextSpan's slow path (deltas present).
-  std::vector<LabelEntry> span_buf_;
+  /// The unread rest of the base span last fetched (pinned by base_).
+  const LabelEntry* span_ = nullptr;
+  size_t span_count_ = 0;
+  /// Visible inserts not deleted at the snapshot, start order.
+  std::vector<LabelEntry> adds_;
+  size_t next_add_ = 0;
+  /// Starts of the visible deletes of base entries, ascending.
+  std::vector<uint32_t> removes_;
+  size_t next_remove_ = 0;
   Status status_;
 };
 

@@ -433,22 +433,25 @@ class UpdateApplier {
         }
         return false;
       };
-      std::vector<ElemId> doomed;
+      std::vector<LabelEntry> doomed;
       for (const ColorPlacements::Slot& slot : s_->placements_[c].slots) {
         const LabelEntry& label = slot.label;
         if (label.elem != kInvalidElem && !IsRemoved(c, label.elem) &&
             contained(label)) {
-          doomed.push_back(label.elem);
+          doomed.push_back(label);
         }
       }
       for (const auto& [elem, versioned_label] : d_->label_added[c]) {
         if (!IsRemoved(c, elem) && contained(versioned_label.entry)) {
-          doomed.push_back(elem);
+          doomed.push_back(versioned_label.entry);
         }
       }
-      for (ElemId elem : doomed) {
-        d_->label_removed[c][elem] = lsn_;
-        victims.insert(elem);
+      for (const LabelEntry& label : doomed) {
+        d_->label_removed[c][label.elem] = lsn_;
+        d_->posting_removes[StoreDeltas::PostingKey(
+                                c, s_->elements_[label.elem].er_node)]
+            .push_back({lsn_, label});
+        victims.insert(label.elem);
         ++stats.labels_touched;
       }
       if (!doomed.empty()) ++stats.colors_touched;

@@ -637,6 +637,38 @@ TEST_F(QueryServiceTest, ReadsAreShedPastTheWatermarkUpdatesAreNot) {
   EXPECT_EQ(service.metrics().failed.load(), 0u);
 }
 
+TEST_F(QueryServiceTest, OneSlotServiceServesAReadAndRefusesASecond) {
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.max_queued = 1;       // the watermark (0.9) is below one request
+  options.start_paused = true;  // park workers: staging is deterministic
+  QueryService service(options);
+  ASSERT_TRUE(service.AddStore("tpcw", store_).ok());
+  auto session = service.OpenSession("tpcw");
+  ASSERT_TRUE(session.ok());
+
+  // The only request in flight is admitted, not shed.
+  auto first = (*session)->SubmitQuery(Query("Q1"));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  // A second concurrent read meets the hard limit.
+  auto second = (*session)->SubmitQuery(Query("Q1"));
+  ASSERT_FALSE(second.ok());
+  EXPECT_TRUE(second.status().IsResourceExhausted())
+      << second.status().ToString();
+  EXPECT_EQ(service.metrics().sheds.load(), 0u);
+  EXPECT_EQ(service.metrics().rejected.load(), 1u);
+
+  service.Resume();
+  auto result = first->get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  mctdb::query::Executor direct(store_);
+  auto expected = direct.Execute(Plan(Query("Q1")));
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(result->logicals, expected->logicals);
+  service.Drain();
+  EXPECT_EQ(service.metrics().completed.load(), 1u);
+}
+
 TEST_F(QueryServiceTest, BreakerOpensAfterConsecutiveHardFailures) {
   ServiceOptions options;
   options.num_threads = 1;
