@@ -12,14 +12,17 @@
 // (label_added / label_removed, for Label, ColorEntries and the applier)
 // and by posting list (posting_adds / posting_removes, for scans). A scan
 // of one (color, tag) reads only that list's own inserts and deletes.
+// The base placements are also listed per color in start order
+// (base_order), so the applier finds a subtree by its interval.
 //
 // Locking: `mu` guards every container. Writers (one at a time, serialized
 // by DurableStore's write mutex) take it exclusively for the short apply
-// step only — never across an fsync. Readers take it shared per lookup,
-// and value ids once per span: MctStore::AttrValueIds resolves a whole
-// page span of entries under one shared lock. Read-only stores skip the
-// deltas entirely via MctStore's versioned() fast path, keeping the read
-// benchmark path untouched.
+// step only — never across an fsync. That step reads the base placements
+// of the op's subtrees and the color's inserts, never every placement.
+// Readers take it shared per lookup, and value ids once per span:
+// MctStore::AttrValueIds resolves a whole page span of entries under one
+// shared lock. Read-only stores skip the deltas entirely via MctStore's
+// versioned() fast path, keeping the read benchmark path untouched.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +78,14 @@ class StoreDeltas {
   std::vector<std::unordered_map<ElemId, DeltaPostingEntry>> label_added;
   /// parent_added[color]: elem -> parent, for inserted placements.
   std::vector<std::unordered_map<ElemId, ElemId>> parent_added;
+  /// base_order[color]: the element ids of the color's base placements in
+  /// start order, deleted ones included (a deleted placement keeps its
+  /// label values until the next checkpoint). The subtree of a placement
+  /// [start, end] is the run whose starts lie in that interval, found by
+  /// binary search. Built once by MctStore::EnableVersioning; the base
+  /// never changes afterwards, so the order holds until the store is
+  /// replaced.
+  std::vector<std::vector<ElemId>> base_order;
 
   /// Rename history: (elem, name_id) -> revisions in LSN order.
   std::unordered_map<uint64_t, std::vector<AttrRev>> attr_revs;
@@ -97,6 +108,7 @@ class StoreDeltas {
       : label_removed(num_colors),
         label_added(num_colors),
         parent_added(num_colors),
+        base_order(num_colors),
         key_index_added(num_er_nodes),
         label_high_water(num_colors, 0) {}
 

@@ -48,6 +48,55 @@ void SortByLogical(std::vector<uint64_t>* pairs,
   }
 }
 
+/// The element ids of `placed`'s labels in start order, and the highest
+/// label value they use. A built color numbers its Enter and Leave events
+/// stride, 2 * stride, ..., 2n * stride, so the start of every label lands
+/// at position start / stride of a 2n + 1 array: one scatter and one
+/// compaction. Labels that do not fit that pattern (two at one position,
+/// or one past the end) take a comparison sort.
+std::vector<ElemId> BaseStartOrder(const ColorPlacements& placed,
+                                   uint32_t* high) {
+  const auto& slots = placed.slots;
+  *high = 0;
+  for (const ColorPlacements::Slot& slot : slots) {
+    // Absent slots carry end 0, so they never raise the high water.
+    *high = std::max(*high, slot.label.end);
+  }
+  const size_t n = placed.num_labels;
+  if (n == 0) return {};
+  const uint32_t stride = static_cast<uint32_t>(*high / (2 * n));
+  if (stride > 0) {
+    std::vector<ElemId> by_start(*high / stride + 1, kInvalidElem);
+    bool fits = true;
+    for (const ColorPlacements::Slot& slot : slots) {
+      if (slot.label.elem == kInvalidElem) continue;
+      const size_t i = slot.label.start / stride;
+      if (i >= by_start.size() || by_start[i] != kInvalidElem) {
+        fits = false;
+        break;
+      }
+      by_start[i] = slot.label.elem;
+    }
+    if (fits) {
+      // Branch-free compaction: starts and ends alternate unpredictably.
+      size_t k = 0;
+      for (ElemId e : by_start) {
+        by_start[k] = e;
+        k += e != kInvalidElem;
+      }
+      return {by_start.begin(), by_start.begin() + k};
+    }
+  }
+  std::vector<ElemId> order;
+  for (const ColorPlacements::Slot& slot : slots) {
+    if (slot.label.elem != kInvalidElem) order.push_back(slot.label.elem);
+  }
+  std::sort(order.begin(), order.end(), [&](ElemId a, ElemId b) {
+    return slots[a].label.start < slots[b].label.start;
+  });
+  return order;
+}
+
 /// The value id `records` hold for `name_id`; UINT32_MAX when absent.
 inline uint32_t FindValueId(std::span<const AttrRecord> records,
                             uint32_t name_id) {
@@ -327,12 +376,8 @@ void MctStore::EnableVersioning() {
   deltas_ =
       std::make_unique<StoreDeltas>(placements_.size(), key_index_.size());
   for (size_t c = 0; c < placements_.size(); ++c) {
-    uint32_t high = 0;
-    for (const ColorPlacements::Slot& slot : placements_[c].slots) {
-      // Absent slots carry end 0, so they never raise the high water.
-      high = std::max(high, slot.label.end);
-    }
-    deltas_->label_high_water[c] = high;
+    deltas_->base_order[c] =
+        BaseStartOrder(placements_[c], &deltas_->label_high_water[c]);
   }
 }
 

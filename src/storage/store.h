@@ -24,7 +24,8 @@
 // after which every mutation lands in StoreDeltas tagged with its LSN and
 // the read accessors take a snapshot LSN — readers at snapshot S see the
 // base plus exactly the deltas with lsn <= S. Read-only stores never
-// allocate deltas and keep the original lock-free paths.
+// allocate deltas (nor the start order of the placements the applier
+// searches) and keep the original lock-free paths.
 #pragma once
 
 #include <atomic>
@@ -230,8 +231,11 @@ class MctStore {
   StoreStats Stats() const;
 
   // -- versioning (the durable write path; DESIGN.md §13) --------------------
-  /// Allocates the delta side state. Must be called before the store is
-  /// shared with concurrent readers (wal::DurableStore does it at open).
+  /// Allocates the delta side state and lists each color's base
+  /// placements in start order (StoreDeltas::base_order), in time linear
+  /// in the color's slots, for the applier's subtree lookups. Must be
+  /// called before the store is shared with concurrent readers
+  /// (wal::DurableStore does it at open, create and every live rebase).
   void EnableVersioning();
   bool versioned() const { return deltas_ != nullptr; }
   StoreDeltas* deltas() const { return deltas_.get(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -305,7 +306,9 @@ Status VerifyUpdateOp(const mct::MctSchema& schema, const UpdateOp& op) {
 // ---------------------------------------------------------------------------
 // Application. All methods run with the delta mutex held exclusively; they
 // read base state directly (MctStore friendship) instead of through the
-// locking accessors.
+// locking accessors. A walk over placements reads the base ones by start
+// range (StoreDeltas::base_order) and the color's inserted ones in full,
+// so an op costs its subtrees plus the inserts since the last checkpoint.
 
 class UpdateApplier {
  public:
@@ -343,6 +346,21 @@ class UpdateApplier {
     if (ad == d_->label_added[c].end()) return false;
     *out = ad->second.entry;
     return true;
+  }
+
+  /// The base placements of `c` whose start lies in [lo, hi], deleted
+  /// ones included, in start order.
+  std::span<const ElemId> BaseStartsIn(mct::ColorId c, uint32_t lo,
+                                       uint32_t hi) const {
+    const std::vector<ElemId>& order = d_->base_order[c];
+    const std::vector<ColorPlacements::Slot>& slots = s_->placements_[c].slots;
+    auto first = std::partition_point(
+        order.begin(), order.end(),
+        [&](ElemId e) { return slots[e].label.start < lo; });
+    auto last = std::partition_point(
+        first, order.end(),
+        [&](ElemId e) { return slots[e].label.start <= hi; });
+    return {first, last};
   }
 
   bool IsElementDeleted(ElemId elem) const {
@@ -421,26 +439,41 @@ class UpdateApplier {
     ApplyStats stats;
     std::unordered_set<ElemId> victims;
     for (mct::ColorId c = 0; c < num_colors(); ++c) {
-      std::vector<LabelEntry> targets;
+      // The target's placements as intervals [start, end]. Copies give
+      // several; one nested in another adds nothing, so merge them.
+      std::vector<std::pair<uint32_t, uint32_t>> ranges;
       LabelEntry le;
       for (ElemId r : roots) {
-        if (LabelLocked(c, r, &le)) targets.push_back(le);
+        if (LabelLocked(c, r, &le)) ranges.emplace_back(le.start, le.end);
       }
-      if (targets.empty()) continue;
+      if (ranges.empty()) continue;
+      std::sort(ranges.begin(), ranges.end());
+      size_t merged = 0;
+      for (const auto& range : ranges) {
+        if (merged > 0 && range.first <= ranges[merged - 1].second) {
+          ranges[merged - 1].second =
+              std::max(ranges[merged - 1].second, range.second);
+        } else {
+          ranges[merged++] = range;
+        }
+      }
+      ranges.resize(merged);
       auto contained = [&](const LabelEntry& e) {
-        for (const LabelEntry& t : targets) {
-          if (t.start <= e.start && e.end <= t.end) return true;
+        for (const auto& [lo, hi] : ranges) {
+          if (lo <= e.start && e.end <= hi) return true;
         }
         return false;
       };
       std::vector<LabelEntry> doomed;
-      for (const ColorPlacements::Slot& slot : s_->placements_[c].slots) {
-        const LabelEntry& label = slot.label;
-        if (label.elem != kInvalidElem && !IsRemoved(c, label.elem) &&
-            contained(label)) {
-          doomed.push_back(label);
+      for (const auto& [lo, hi] : ranges) {
+        std::span<const ElemId> subtree = BaseStartsIn(c, lo, hi);
+        stats.placements_visited += subtree.size();
+        for (ElemId elem : subtree) {
+          const LabelEntry& label = s_->placements_[c].slots[elem].label;
+          if (!IsRemoved(c, elem) && label.end <= hi) doomed.push_back(label);
         }
       }
+      stats.placements_visited += d_->label_added[c].size();
       for (const auto& [elem, versioned_label] : d_->label_added[c]) {
         if (!IsRemoved(c, elem) && contained(versioned_label.entry)) {
           doomed.push_back(versioned_label.entry);
@@ -496,21 +529,24 @@ class UpdateApplier {
     for (const SubtreeSpec& c : spec.children) Flatten(c, index, out);
   }
 
-  /// Highest label value consumed strictly inside (lo, hi) — removed
-  /// placements keep occupying their values, so both base and added maps
-  /// count regardless of tombstones.
-  uint32_t MaxLabelInRange(mct::ColorId c, uint32_t lo, uint32_t hi) const {
+  /// Highest label value consumed strictly inside (lo, hi), the interval
+  /// of a placement — removed placements keep occupying their values, so
+  /// both base and added placements count regardless of tombstones. The
+  /// intervals of a color nest, so a value inside (lo, hi) belongs to a
+  /// placement whose start lies there too.
+  uint32_t MaxLabelInRange(mct::ColorId c, uint32_t lo, uint32_t hi,
+                           ApplyStats* stats) const {
     uint32_t best = lo;
     auto consider = [&](const LabelEntry& e) {
       if (e.start > lo && e.start < hi) best = std::max(best, e.start);
       if (e.end > lo && e.end < hi) best = std::max(best, e.end);
     };
-    for (const ColorPlacements::Slot& slot : s_->placements_[c].slots) {
-      if (slot.label.elem != kInvalidElem) consider(slot.label);
-    }
+    std::span<const ElemId> inside = BaseStartsIn(c, lo + 1, hi - 1);
+    for (ElemId elem : inside) consider(s_->placements_[c].slots[elem].label);
     for (const auto& [elem, versioned_label] : d_->label_added[c]) {
       consider(versioned_label.entry);
     }
+    stats->placements_visited += inside.size() + d_->label_added[c].size();
     return best;
   }
 
@@ -724,7 +760,7 @@ class UpdateApplier {
                     return a.start < b.start;
                   });
         for (const LabelEntry& pl : parent_labels) {
-          uint32_t lo = MaxLabelInRange(c, pl.start, pl.end);
+          uint32_t lo = MaxLabelInRange(c, pl.start, pl.end, &stats);
           if (!PlaceGroup(c, mode, &nodes, 0, pl.elem,
                           static_cast<uint16_t>(pl.level + 1), lo, pl.end,
                           &stats)) {

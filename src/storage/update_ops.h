@@ -19,6 +19,11 @@
 //   U3 kRenameValue: one attribute of the target instance takes a new
 //      value on every stored element (copies included — the dup_updates
 //      price of non-NN schemas).
+//
+// Both U1 and U2 find what lies inside an interval by the color's base
+// placements in start order (StoreDeltas::base_order) plus the color's
+// inserted placements, so an op reads its subtrees and the inserts since
+// the last checkpoint, not the whole store (ApplyStats::placements_visited).
 #pragma once
 
 #include <string>
@@ -103,6 +108,11 @@ struct ApplyStats {
   /// value means the next insert under the same parent is close to
   /// ResourceExhausted.
   uint32_t min_free_gap = UINT32_MAX;
+  /// Placements the op read while holding the delta lock: per color, the
+  /// base placements inside each target interval (a delete's subtrees, an
+  /// insert's parent placements) plus every placement inserted since the
+  /// last checkpoint. Never the color's other base placements.
+  size_t placements_visited = 0;
 };
 
 /// Applies `op` to the versioned store at `lsn`. The caller serializes

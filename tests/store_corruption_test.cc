@@ -11,15 +11,19 @@
 //   * out-of-range ids planted under a valid section checksum, which only
 //     the loader's own bounds checks can catch;
 //   * the same truncation and failpoint cases on an image larger than
-//     twice the loader's I/O buffer, so they cut across buffer refills.
+//     twice the loader's I/O buffer, so they cut across buffer refills;
+//   * labels no builder writes (a start moved off its stride) that still
+//     nest, on which a versioned store must order and delete exactly.
 //
 // The CI ASAN job runs this test, so "no crash" includes "no silent
 // out-of-bounds read".
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <tuple>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +33,7 @@
 #include "design/designer.h"
 #include "instance/materialize.h"
 #include "storage/persist.h"
+#include "storage/update_ops.h"
 #include "workload/workload.h"
 
 namespace mctdb::storage {
@@ -304,6 +309,89 @@ TEST_F(CorpusFixture, OutOfRangeParentIsDataLoss) {
   auto result = LoadStore(schema, damaged);
   ASSERT_FALSE(result.ok()) << "a parent past the element table loaded";
   EXPECT_TRUE(result.status().IsDataLoss()) << result.status().ToString();
+}
+
+TEST_F(CorpusFixture, LabelsOffTheirStrideStillOrderTheApplier) {
+  instance::LogicalInstance logical =
+      instance::GenerateInstance(graph, w.gen);
+  auto store = instance::Materialize(logical, schema);
+  std::string path = TempPath("stride.mctdb");
+  ASSERT_TRUE(SaveStore(*store, path).ok());
+  std::vector<char> bytes = ReadAllBytes(path);
+  const Section labels = FindSection(
+      Sections(bytes, schema.diagram().num_nodes()), "labels");
+  // Color 0's labels follow the color count and their own count.
+  const size_t at = 8;
+  std::vector<LabelEntry> entries(GetU32(bytes, labels.begin + 4));
+  std::memcpy(entries.data(), bytes.data() + labels.begin + at,
+              entries.size() * sizeof(LabelEntry));
+  // A built color's smallest start is its stride. A first child's start
+  // moved from parent.start + stride to parent.start + 1 still nests, but
+  // shares its parent's position start / stride.
+  uint32_t stride = UINT32_MAX;
+  for (const LabelEntry& e : entries) stride = std::min(stride, e.start);
+  ASSERT_GT(stride, 1u);
+  size_t parent = 0, child = entries.size();
+  for (size_t i = 0; i < entries.size() && child == entries.size(); ++i) {
+    for (size_t j = 0; j < entries.size(); ++j) {
+      if (entries[j].start == entries[i].start + stride) {
+        if (entries[j].level == entries[i].level + 1) {
+          parent = i;
+          child = j;
+        }
+        break;
+      }
+    }
+  }
+  ASSERT_LT(child, entries.size()) << "color 0 has no nested placement";
+  PatchU32(&bytes, labels,
+           at + child * sizeof(LabelEntry) + offsetof(LabelEntry, start),
+           entries[parent].start + 1);
+  std::string moved = TempPath("stride_case.mctdb");
+  WriteAllBytes(moved, bytes, bytes.size());
+  auto loaded = LoadStore(schema, moved);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  MctStore& s = **loaded;
+  s.EnableVersioning();
+
+  // Deleting the parent's instance takes exactly the placements nested in
+  // its placements, the moved child included.
+  using Row = std::tuple<ElemId, uint32_t, uint32_t>;
+  const ElementMeta target = s.element(entries[parent].elem);
+  UpdateOp op;
+  op.kind = UpdateOp::Kind::kDeleteSubtree;
+  op.target_type = target.er_node;
+  op.target_logical = target.logical;
+  std::vector<std::vector<Row>> expected;
+  for (mct::ColorId c = 0; c < schema.num_colors(); ++c) {
+    std::vector<LabelEntry> targets;
+    const std::vector<LabelEntry> before = s.ColorEntries(c);
+    for (const LabelEntry& e : before) {
+      const ElementMeta& m = s.element(e.elem);
+      if (m.er_node == target.er_node && m.logical == target.logical) {
+        targets.push_back(e);
+      }
+    }
+    expected.emplace_back();
+    for (const LabelEntry& e : before) {
+      if (std::none_of(targets.begin(), targets.end(),
+                       [&](const LabelEntry& t) {
+                         return t.start <= e.start && e.end <= t.end;
+                       })) {
+        expected.back().emplace_back(e.elem, e.start, e.end);
+      }
+    }
+  }
+  ASSERT_TRUE(ApplyUpdateOp(&s, op, 1).ok());
+  for (mct::ColorId c = 0; c < schema.num_colors(); ++c) {
+    std::vector<Row> after;
+    for (const LabelEntry& e : s.ColorEntries(c, 1)) {
+      after.emplace_back(e.elem, e.start, e.end);
+    }
+    EXPECT_EQ(after, expected[c]) << "color " << c;
+  }
+  LabelEntry gone;
+  EXPECT_FALSE(s.Label(0, entries[child].elem, &gone, 1));
 }
 
 TEST_F(CorpusFixture, SaveFailpointSurfacesIoError) {
