@@ -20,9 +20,10 @@
 //   * PLN009 value join on an ER edge with no ref edge in the schema
 //   * PLN010 statically-empty anchor scan
 //   * PLN011 update op rejected (bad target, missing attr, malformed
-//            subtree, duplicate logical id)
+//            subtree, duplicate logical id) — VerifyUpdate
 //   * PLN012 update op unsupported under this schema's placement (no
-//            occurrence of the subtree root fits the target's colors)
+//            occurrence of the subtree root fits the target's colors) —
+//            VerifyUpdate
 //   * PLN013 value-join operand mismatch: both operands reference the
 //            same posting list (degenerate self-join), or the segment's
 //            ref edge does not connect the path endpoints it covers
@@ -44,9 +45,13 @@ struct PlanVerifyOptions {
 DiagnosticReport VerifyPlan(const query::QueryPlan& plan,
                             const PlanVerifyOptions& options = {});
 
-/// The write-path analog of VerifyPlan: static checks over one update op
-/// against the schema, run at admission (mctsvc SubmitUpdate, mctc
-/// update) so a doomed op is rejected before it reaches the WAL.
+/// The write-path analog of VerifyPlan: storage::VerifyUpdateOp, the one
+/// rule set for U1-U3 ops, as a PLN012 finding when the schema cannot
+/// place the op (NotSupported) and PLN011 otherwise. It runs where a write
+/// enters: at admission (mctsvc Session::SubmitUpdate) and at the top of
+/// wal::DurableStore::Apply, before the op's WAL append. Defined in
+/// update_verify.cc, which mctdb_wal compiles (DurableStore::Apply sits
+/// below mctdb_query).
 DiagnosticReport VerifyUpdate(const mct::MctSchema& schema,
                               const storage::UpdateOp& op);
 

@@ -2,7 +2,6 @@
 
 #include <set>
 #include <tuple>
-#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -17,8 +16,6 @@ using query::AssociationQuery;
 using query::McXPath;
 using query::McXPathStep;
 using query::PatternNode;
-using storage::SubtreeSpec;
-using storage::UpdateOp;
 
 std::string TypeName(const MctSchema& schema, er::NodeId n) {
   return n < schema.diagram().num_nodes() ? schema.diagram().node(n).name
@@ -124,100 +121,10 @@ void FinishEmptiness(QueryAnalysis* out, const std::string& loc) {
       "answer");
 }
 
-const char* UpdateKindLabel(UpdateOp::Kind kind) {
-  switch (kind) {
-    case UpdateOp::Kind::kInsertSubtree: return "U1";
-    case UpdateOp::Kind::kDeleteSubtree: return "U2";
-    case UpdateOp::Kind::kRenameValue: return "U3";
-  }
-  return "U?";
-}
-
-const std::string* KeyAttrName(const er::ErDiagram& d, er::NodeId node) {
-  for (const er::Attribute& a : d.node(node).attributes) {
-    if (a.is_key) return &a.name;
-  }
-  return nullptr;
-}
-
-void VerifyInsertNodeStatic(const MctSchema& schema, const SubtreeSpec& node,
-                            er::NodeId partner_type, const std::string& loc,
-                            std::unordered_set<uint64_t>* logicals_seen,
-                            DiagnosticReport* report) {
-  const er::ErDiagram& diagram = schema.diagram();
-  if (node.type >= diagram.num_nodes()) {
-    report->Error("QRY012", loc,
-                  StringPrintf("insert: unknown node type %u", node.type));
-    return;  // nothing below is checkable without the type
-  }
-  const std::string& type_name = diagram.node(node.type).name;
-  if (!logicals_seen->insert((uint64_t{node.type} << 32) | node.logical)
-           .second) {
-    report->Error(
-        "QRY012", loc,
-        "insert: duplicate new logical id for " + type_name,
-        "assign every inserted instance a fresh logical id");
-  }
-  if (EdgeBetween(schema.graph(), node.type, partner_type) ==
-      er::kInvalidEdge) {
-    report->Error("QRY012", loc,
-                  "insert: no ER edge between " + type_name + " and " +
-                      TypeName(schema, partner_type),
-                  "nest the subtree along an existing association");
-  }
-  if (const std::string* key = KeyAttrName(diagram, node.type)) {
-    bool has_key = false;
-    for (const SubtreeSpec::Attr& a : node.attrs) has_key |= a.name == *key;
-    if (!has_key) {
-      report->Error("QRY012", loc,
-                    "insert: spec for " + type_name +
-                        " misses key attribute " + *key,
-                    "every inserted instance needs its key (the key index "
-                    "and idref joins resolve through it)");
-    }
-  }
-  // Supported placement class: every occurrence of the type is a root or
-  // nests under the spec partner's type; anything else needs placements
-  // the applier cannot derive from the op.
-  std::unordered_set<er::NodeId> spec_partners{partner_type};
-  for (const SubtreeSpec& c : node.children) spec_partners.insert(c.type);
-  for (OccId oid : schema.OccurrencesOf(node.type)) {
-    const SchemaOcc& occ = schema.occ(oid);
-    if (occ.is_root()) continue;
-    if (schema.occ(occ.parent).er_node != partner_type) {
-      report->Error(
-          "QRY012", loc,
-          "insert: " + type_name + " occurs under " +
-              TypeName(schema, schema.occ(occ.parent).er_node) +
-              " in schema " + schema.name() + "; only root or " +
-              TypeName(schema, partner_type) +
-              "-nested occurrences are supported",
-          "insert under the type the schema nests the subtree beneath, or "
-          "target a schema variant that does");
-      break;  // one placement finding per type is enough
-    }
-  }
-  for (const mct::RefEdge& re : schema.ref_edges()) {
-    if (schema.occ(re.from).er_node != node.type) continue;
-    if (spec_partners.count(re.target) == 0) {
-      report->Error("QRY012", loc,
-                    "insert: " + type_name + " carries an idref to " +
-                        TypeName(schema, re.target) +
-                        " outside the inserted subtree",
-                    "include the referenced instance in the op, or drop "
-                    "the dangling association");
-    }
-  }
-  for (const SubtreeSpec& c : node.children) {
-    VerifyInsertNodeStatic(schema, c, node.type, loc, logicals_seen, report);
-  }
-}
-
 }  // namespace
 
 bool IsFatalQueryCode(std::string_view code) {
-  return code == "QRY001" || code == "QRY002" || code == "QRY006" ||
-         code == "QRY012";
+  return code == "QRY001" || code == "QRY002" || code == "QRY006";
 }
 
 QueryAnalysis AnalyzeQuery(const AssociationQuery& q, const MctSchema& schema,
@@ -523,53 +430,6 @@ DiagnosticReport AnalyzeMcXPathAcrossSchemas(
   std::string label = "mc-xpath";
   if (!path.steps.empty()) label += "/" + path.steps.back().tag;
   return Divergence(label, schemas, per, options);
-}
-
-DiagnosticReport VerifyUpdateOpStatic(const MctSchema& schema,
-                                      const UpdateOp& op,
-                                      const QueryAnalyzeOptions& options) {
-  DiagnosticReport report(options.max_diagnostics);
-  const er::ErDiagram& diagram = schema.diagram();
-  std::string loc = std::string("update/") + UpdateKindLabel(op.kind);
-  if (op.target_type >= diagram.num_nodes()) {
-    report.Error("QRY012", loc,
-                 StringPrintf("unknown target type %u", op.target_type));
-    return report;
-  }
-  switch (op.kind) {
-    case UpdateOp::Kind::kInsertSubtree: {
-      std::unordered_set<uint64_t> logicals_seen;
-      VerifyInsertNodeStatic(schema, op.subtree, op.target_type, loc,
-                             &logicals_seen, &report);
-      break;
-    }
-    case UpdateOp::Kind::kDeleteSubtree:
-      break;
-    case UpdateOp::Kind::kRenameValue: {
-      const er::ErNode& target = diagram.node(op.target_type);
-      bool found = false;
-      for (const er::Attribute& a : target.attributes) {
-        if (a.name != op.attr) continue;
-        found = true;
-        if (a.is_key) {
-          report.Error("QRY012", loc,
-                       "rename: " + op.attr + " is a key attribute of " +
-                           target.name + " (idref joins would dangle)",
-                       "renames never touch keys; delete and re-insert "
-                       "instead");
-        }
-        break;
-      }
-      if (!found) {
-        report.Error("QRY012", loc,
-                     "rename: " + target.name + " has no attribute " +
-                         op.attr,
-                     "rename a declared non-key attribute");
-      }
-      break;
-    }
-  }
-  return report;
 }
 
 }  // namespace mctdb::analysis

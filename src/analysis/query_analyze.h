@@ -1,5 +1,7 @@
-// Schema-aware static analysis of queries and updates (the MC-XPath /
-// association-query front half of mctlint).
+// Schema-aware static analysis of queries (the MC-XPath /
+// association-query front half of mctlint). Update ops have their own
+// rule set, storage::VerifyUpdateOp, reported as PLN011/PLN012 by
+// analysis::VerifyUpdate (plan_verify.h).
 //
 // The designer schemas carry rich structural claims — which ER types occur
 // in which color, how occurrences nest, which associations are realized
@@ -44,10 +46,6 @@
 //   * QRY011 cross-schema divergence: the query is statically empty on
 //            one designer variant but not on an equivalent one — a
 //            designer-bug detector
-//   * QRY012 update op rejected by the static precheck
-//            (VerifyUpdateOpStatic): unknown target, key rename, missing
-//            key attribute, unsupported placement class — fatal; refused
-//            before any WAL append
 //
 // Soundness contract (DESIGN.md §14): an emptiness finding is only emitted
 // from claims that are *checkable against the schema representation
@@ -65,7 +63,6 @@
 #include "mct/mct_schema.h"
 #include "query/mcxpath.h"
 #include "query/query_spec.h"
-#include "storage/update_ops.h"
 
 namespace mctdb::analysis {
 
@@ -87,13 +84,13 @@ struct QueryAnalysis {
   /// plan's prune_reason and in `mctc trace` span labels.
   std::string empty_reason;
 
-  /// Fatal findings (QRY001/002/006/012): the query is malformed for this
+  /// Fatal findings (QRY001/002/006): the query is malformed for this
   /// schema and must be rejected with InvalidArgument, never pruned.
   bool fatal() const { return report.has_errors(); }
 };
 
 /// True for the codes the QueryService admission gate rejects with
-/// InvalidArgument (QRY001/002/006/012); the emptiness codes are NOT fatal
+/// InvalidArgument (QRY001/002/006); the emptiness codes are NOT fatal
 /// — a statically-empty query is a valid query with a known-empty answer
 /// and executes as a zero-I/O empty result.
 bool IsFatalQueryCode(std::string_view code);
@@ -129,17 +126,5 @@ DiagnosticReport AnalyzeMcXPathAcrossSchemas(
     const query::McXPath& path,
     const std::vector<const mct::MctSchema*>& schemas,
     const QueryAnalyzeOptions& options = {});
-
-/// Static admissibility of one U1–U3 update op under `schema`, reported as
-/// QRY012 diagnostics. Self-contained re-derivation of the same claims
-/// storage::VerifyUpdateOp enforces (unknown types, duplicate new logical
-/// ids, missing nesting edges, missing key attributes, unsupported
-/// placement classes, key renames) — but reporting EVERY violation instead
-/// of the first, and callable from layers below storage. wal::DurableStore
-/// runs this before the WAL append, so a schema-invalid op is refused
-/// without dirtying the log (wal_appends stays unchanged).
-DiagnosticReport VerifyUpdateOpStatic(const mct::MctSchema& schema,
-                                      const storage::UpdateOp& op,
-                                      const QueryAnalyzeOptions& options = {});
 
 }  // namespace mctdb::analysis

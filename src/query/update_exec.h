@@ -1,13 +1,13 @@
 // UpdateExecutor: runs storage::UpdateOps through a wal::DurableStore
 // with the same observability contract as the read-path Executor.
 //
-// Each Execute call verifies the op against the schema (the PLN011/012
-// write-path rules), then drives the durable apply protocol — WAL append,
-// delta mutation, group commit — under an obs::ExecStats span tree whose
-// kWal spans make the log time visible in `mctc trace`. The receipt
-// carries the commit LSN: pass it (or store->visible_lsn()) to
-// Executor::set_snapshot to read your own write; omit it and concurrent
-// queries keep their consistent pre-commit view.
+// Each Execute call drives the durable apply protocol — verification
+// (DurableStore::Apply checks the PLN011/012 write-path rules once, before
+// the WAL append), WAL append, delta mutation, group commit — under an
+// obs::ExecStats span tree whose kWal spans make the log time visible in
+// `mctc trace`. The receipt carries the commit LSN: pass it (or
+// store->visible_lsn()) to Executor::set_snapshot to read your own write;
+// omit it and concurrent queries keep their consistent pre-commit view.
 #pragma once
 
 #include <string>
@@ -25,8 +25,10 @@ struct UpdateExecResult {
   Lsn lsn = kNoLsn;
   /// What the apply touched (elements / labels / colors).
   storage::ApplyStats stats;
-  /// WAL work this op caused: appends is always 1 on success; fsyncs is 0
-  /// when a concurrent leader's group commit covered this op's LSN.
+  /// WAL work of this op alone, from its DurableStore::ApplyReceipt:
+  /// appends is 1 (2 after a stalled retry); fsyncs is 1 when the op led
+  /// its batch's sync, 0 when another committer's covered its LSN.
+  /// Concurrent writers on one store never count each other's work.
   uint64_t wal_appends = 0;
   uint64_t wal_fsyncs = 0;
   double elapsed_seconds = 0.0;
@@ -39,9 +41,10 @@ class UpdateExecutor {
  public:
   explicit UpdateExecutor(wal::DurableStore* store) : store_(store) {}
 
-  /// Verifies, logs, applies, and commits one op. InvalidArgument carries
-  /// the verifier's diagnostic text when the op fails static checks;
-  /// Unavailable means the WAL is degraded (reopen the store to recover).
+  /// Verifies, logs, applies, and commits one op (DurableStore::Apply).
+  /// InvalidArgument carries the verifier's diagnostic text when the op
+  /// fails static checks; Unavailable means the WAL is degraded (reopen
+  /// the store to recover).
   Result<UpdateExecResult> Execute(const storage::UpdateOp& op);
 
  private:

@@ -309,6 +309,8 @@ Status VerifyUpdateOp(const mct::MctSchema& schema, const UpdateOp& op) {
 // locking accessors. A walk over placements reads the base ones by start
 // range (StoreDeltas::base_order) and the color's inserted ones in full,
 // so an op costs its subtrees plus the inserts since the last checkpoint.
+// Ops arrive verified (see ApplyUpdateOp), so their types index the delta
+// tables unchecked.
 
 class UpdateApplier {
  public:
@@ -651,7 +653,6 @@ class UpdateApplier {
 
   Result<ApplyStats> Insert(const UpdateOp& op) {
     const mct::MctSchema& schema = *s_->schema_;
-    MCTDB_RETURN_IF_ERROR(VerifyUpdateOp(schema, op));
     std::vector<ElemId> parents =
         ElementsForLocked(op.target_type, op.target_logical);
     if (parents.empty()) {

@@ -92,8 +92,8 @@ Result<UpdateOp> DecodeUpdateOp(std::string_view payload);
 /// realized ER edges exist, every occurrence of an inserted type is either
 /// a root or nested under the spec parent's type (the supported class —
 /// anything else would need placements the applier cannot derive), renames
-/// never touch key attributes. The plan-verifier rules
-/// (analysis::VerifyUpdateOp) wrap this into a DiagnosticReport.
+/// never touch key attributes. The one rule set for U1-U3 ops;
+/// analysis::VerifyUpdate reports it as PLN011/PLN012.
 Status VerifyUpdateOp(const mct::MctSchema& schema, const UpdateOp& op);
 
 struct ApplyStats {
@@ -118,7 +118,10 @@ struct ApplyStats {
 /// Applies `op` to the versioned store at `lsn`. The caller serializes
 /// appliers (DurableStore's write mutex) and has already made the op
 /// durable-or-doomed (WAL append happens first). The store must have
-/// versioning enabled.
+/// versioning enabled, and `op` must pass VerifyUpdateOp against the
+/// store's schema: both callers check it first (DurableStore::Apply before
+/// the append, RecoverLog before replay), and the applier has no bounds
+/// checks of its own.
 Result<ApplyStats> ApplyUpdateOp(MctStore* store, const UpdateOp& op,
                                  Lsn lsn);
 

@@ -7,7 +7,7 @@
 #include <optional>
 #include <utility>
 
-#include "analysis/query_analyze.h"
+#include "analysis/plan_verify.h"
 #include "common/failpoint.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace_id.h"
@@ -100,7 +100,7 @@ void DurableStore::Install(std::unique_ptr<storage::MctStore> store) {
 }
 
 Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
-    const storage::UpdateOp& op, obs::ExecStats* stats) {
+    const storage::UpdateOp& op, obs::ExecStats* stats, uint64_t* appends) {
   std::unique_lock lk(write_mu_);
   if (log_->degraded()) {
     return read_only()
@@ -111,17 +111,6 @@ Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
                : Status::Unavailable("durable store: WAL degraded; reopen");
   }
   storage::MctStore* store = store_.get();
-  {
-    // Static precheck (QRY012) BEFORE the append: a schema-invalid op must
-    // never dirty the log — a refused op leaves wal_appends unchanged and
-    // nothing for recovery to skip.
-    analysis::DiagnosticReport precheck =
-        analysis::VerifyUpdateOpStatic(store->schema(), op);
-    if (precheck.has_errors()) {
-      return Status::InvalidArgument(
-          "update op rejected by static precheck:\n" + precheck.ToText());
-    }
-  }
   std::string payload;
   storage::EncodeUpdateOp(op, &payload);
   Lsn lsn = kNoLsn;
@@ -130,6 +119,7 @@ Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
     // state is dirtied. A failed append aborts cleanly.
     obs::SpanScope span(stats, obs::StageKind::kWal, "append");
     MCTDB_ASSIGN_OR_RETURN(lsn, log_->Append(RecordType::kUpdateOp, payload));
+    ++*appends;
     span.SetCardinalityOut(payload.size());
   }
   Result<storage::ApplyStats> applied = storage::ApplyStats{};
@@ -158,6 +148,7 @@ Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
     }
   }
   lk.unlock();
+  bool led = false;
   {
     // Group commit outside the write mutex: concurrent appliers park on
     // one fsync. The span's cardinality pair records the batch LSN range
@@ -166,7 +157,7 @@ Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
     // requests' records shared the fsync.
     obs::SpanScope span(stats, obs::StageKind::kWal, "group_commit");
     const Lsn durable_before = log_->durable_lsn();
-    MCTDB_RETURN_IF_ERROR(log_->Commit(lsn));
+    MCTDB_RETURN_IF_ERROR(log_->Commit(lsn, &led));
     span.SetCardinalityIn(durable_before == kNoLsn ? 1 : durable_before + 1);
     span.SetCardinalityOut(log_->durable_lsn());
   }
@@ -178,11 +169,18 @@ Result<DurableStore::ApplyReceipt> DurableStore::ApplyOnce(
     std::lock_guard pin(pin_mu_);
     store_->PublishVisibleLsn(lsn);
   }
-  return ApplyReceipt{lsn, applied.value()};
+  return ApplyReceipt{lsn, applied.value(), *appends, led ? 1u : 0u};
 }
 
 Result<DurableStore::ApplyReceipt> DurableStore::Apply(
     const storage::UpdateOp& op, obs::ExecStats* stats) {
+  // Verified once, before any append: a schema-invalid op never dirties
+  // the log, so recovery never meets a record the live path refused.
+  analysis::DiagnosticReport verdict = analysis::VerifyUpdate(schema(), op);
+  if (verdict.has_errors()) {
+    return Status::InvalidArgument("update rejected by verifier:\n" +
+                                   verdict.ToText());
+  }
   // Service-submitted ops arrive under the worker's admission-minted
   // trace; direct library/CLI callers get one minted here so WAL events —
   // including every stalled retry below — correlate under one trace.
@@ -190,7 +188,8 @@ Result<DurableStore::ApplyReceipt> DurableStore::Apply(
   if (obs::CurrentTraceId() == 0) {
     trace_scope.emplace(obs::MintTraceId());
   }
-  Result<ApplyReceipt> r = ApplyOnce(op, stats);
+  uint64_t appends = 0;
+  Result<ApplyReceipt> r = ApplyOnce(op, stats, &appends);
   if (!r.ok() && !readonly_announced_.load(std::memory_order_relaxed) &&
       read_only()) {
     if (!readonly_announced_.exchange(true, std::memory_order_relaxed)) {
@@ -219,7 +218,7 @@ Result<DurableStore::ApplyReceipt> DurableStore::Apply(
     flight::Record(flight::Subsystem::kCheckpoint, flight::Site::kWriteStall,
                    obs::CurrentTraceId(), write_stalls());
     if (!mm->StallForRebalance(deadline)) break;
-    r = ApplyOnce(op, stats);
+    r = ApplyOnce(op, stats, &appends);
     if (r.ok() || !r.status().IsResourceExhausted()) return r;
   }
   char hint[64];

@@ -3,6 +3,9 @@
 // together:
 //
 //   Apply(op):
+//     0. verify the op once, outside the write mutex (analysis::VerifyUpdate,
+//        PLN011/PLN012): a refused op never reaches the log, and a stalled
+//        retry (below) does not verify again;
 //     1. lock the write mutex (one applier mutates at a time);
 //     2. LogWriter::Append — the redo record exists BEFORE any page or
 //        delta is dirtied (write-ahead rule); a failed append is a clean
@@ -22,7 +25,8 @@
 //   ResourceExhausted, with a retry-after hint (DESIGN.md §17).
 //
 //   Open(path): load the checkpoint image, EnableVersioning, replay the
-//   log's valid prefix, truncate the torn tail (wal/recovery.h).
+//   log's valid prefix (each record verified before it is applied),
+//   truncate the torn tail (wal/recovery.h).
 //
 //   Checkpoint(mode): fold deltas into a fresh compact image, atomically
 //   rename it over the store file, trim the log (wal/checkpoint.h).
@@ -81,9 +85,6 @@ class MaintenanceManager;
 
 struct DurableStoreOptions {
   storage::StoreOptions store;
-  /// Durable log size past which lint (WAL004) refuses and callers should
-  /// checkpoint.
-  uint64_t checkpoint_threshold_bytes = 64ull << 20;
 };
 
 /// What Checkpoint does with the live in-memory store (class comment).
@@ -144,9 +145,15 @@ class DurableStore {
   struct ApplyReceipt {
     Lsn lsn = kNoLsn;
     storage::ApplyStats stats;
+    /// Records this call appended: 1, plus one per stalled retry.
+    uint64_t wal_appends = 0;
+    /// 1 when this call led its batch's fsync, 0 when another committer's
+    /// (or a checkpoint's) sync covered its record.
+    uint64_t wal_fsyncs = 0;
   };
   /// Durably applies one update op (see class comment). Thread-safe;
-  /// concurrent callers share fsyncs. With `stats`, the append/commit
+  /// concurrent callers share fsyncs. InvalidArgument carries the
+  /// verifier's diagnostic text. With `stats`, the append/commit
   /// work lands in kWal spans and the delta mutation in a kUpdate span,
   /// so `mctc trace` shows where an update's time went. With a
   /// maintenance manager attached, gap saturation stalls behind a
@@ -214,9 +221,10 @@ class DurableStore {
  private:
   DurableStore() = default;
 
-  /// One attempt of the Apply protocol (steps 1..5 of the class comment).
+  /// One attempt of the Apply protocol (steps 1..5 of the class comment)
+  /// on a verified op; bumps `*appends` once its record is appended.
   Result<ApplyReceipt> ApplyOnce(const storage::UpdateOp& op,
-                                 obs::ExecStats* stats);
+                                 obs::ExecStats* stats, uint64_t* appends);
 
   /// Sets store_, live_store_ and schema_ from a freshly opened store.
   void Install(std::unique_ptr<storage::MctStore> store);

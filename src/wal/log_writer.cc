@@ -201,7 +201,8 @@ Status LogWriter::WriteAndSync(const std::string& batch) {
   return Status::OK();
 }
 
-Status LogWriter::Commit(Lsn lsn) {
+Status LogWriter::Commit(Lsn lsn, bool* led) {
+  if (led != nullptr) *led = false;
   std::unique_lock lk(commit_mu_);
   while (durable_lsn_.load(std::memory_order_acquire) < lsn) {
     if (degraded()) {
@@ -228,6 +229,7 @@ Status LogWriter::Commit(Lsn lsn) {
     Status s = Status::OK();
     if (!batch.empty()) {
       s = WriteAndSync(batch);
+      if (led != nullptr) *led = s.ok();
     } else if (batch_lsn < lsn) {
       s = Status::Internal("wal: Commit for an LSN never appended");
     }

@@ -92,8 +92,9 @@ class LogWriter {
 
   /// Blocks until every record with LSN <= `lsn` is durable (one fsync per
   /// batch, shared across concurrent committers). Unavailable once
-  /// degraded.
-  Status Commit(Lsn lsn);
+  /// degraded. With `led`, reports whether this call wrote and fsynced the
+  /// batch itself (false when another committer's sync covered `lsn`).
+  Status Commit(Lsn lsn, bool* led = nullptr);
 
   /// Truncates the log to a fresh header recording `checkpoint_lsn`. The
   /// caller must have quiesced appends (DurableStore holds its write mutex

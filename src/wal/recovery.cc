@@ -69,6 +69,13 @@ Result<RecoveryStats> RecoverLog(const std::string& wal_path,
     }
     MCTDB_ASSIGN_OR_RETURN(storage::UpdateOp op,
                            storage::DecodeUpdateOp(rec.payload));
+    if (!storage::VerifyUpdateOp(store->schema(), op).ok()) {
+      // The live path verifies every op before its append, so it never
+      // logged this one: skip it like an op that failed live, rather than
+      // hand it to the applier, which does not check.
+      ++stats.skipped_records;
+      continue;
+    }
     Result<storage::ApplyStats> applied =
         storage::ApplyUpdateOp(store, op, rec.lsn);
     if (applied.ok()) {
@@ -79,7 +86,6 @@ Result<RecoveryStats> RecoverLog(const std::string& wal_path,
       // window) — idempotent skip.
       ++stats.skipped_records;
     } else if (applied.status().IsNotSupported() ||
-               applied.status().IsInvalidArgument() ||
                applied.status().IsResourceExhausted()) {
       // The op failed the same deterministic way it failed live (it was
       // logged before application was attempted); a no-op then, a no-op

@@ -13,6 +13,11 @@
 // replays as AlreadyExists/NotFound and is counted as skipped, not failed.
 // This covers the checkpoint crash window (store image renamed, log not
 // yet reset) with no LSN bookkeeping inside the store file.
+//
+// Every decoded record passes storage::VerifyUpdateOp before it reaches
+// the applier, exactly as every live op does before its append. A
+// checksum-valid record that fails it (one the live path would have
+// refused) is skipped, never applied.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +35,9 @@ namespace mctdb::wal {
 struct RecoveryStats {
   uint64_t scanned_records = 0;
   uint64_t replayed_records = 0;  ///< mutated the store
-  uint64_t skipped_records = 0;   ///< already in the checkpoint image
+  /// Already in the checkpoint image, failed live, or refused by the
+  /// verifier.
+  uint64_t skipped_records = 0;
   uint64_t truncated_bytes = 0;   ///< torn tail cut from the file
   bool log_reset = false;         ///< header unreadable -> fresh empty log
   Lsn last_lsn = kNoLsn;          ///< recovery snapshot (visible LSN)

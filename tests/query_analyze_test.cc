@@ -1,6 +1,6 @@
 // Static query analyzer tests: a table-driven corpus of (schema, query,
 // expected QRY codes) covering every designer output for one ER source,
-// plus golden text/JSON fixtures demonstrating each QRY001-QRY012 code
+// plus golden text/JSON fixtures demonstrating each QRY001-QRY011 code
 // (tests/data/qry/; regenerate with MCTDB_REGEN_FIXTURES=1).
 #include "analysis/query_analyze.h"
 
@@ -316,76 +316,6 @@ TEST_F(QueryAnalyzeTest, FixtureQry011CrossSchemaDivergence) {
       Parse("/(red)address"), {&h1, &h2});
   EXPECT_TRUE(merged.HasCode("QRY011"));
   CheckFixture(merged, "QRY011");
-}
-
-TEST_F(QueryAnalyzeTest, FixtureQry012UpdatePrecheck) {
-  // A key rename AND an insert missing its key attribute, all violations
-  // reported.
-  mct::MctSchema s = TwoColor();
-  storage::UpdateOp rename;
-  rename.kind = storage::UpdateOp::Kind::kRenameValue;
-  rename.target_type = country_;
-  rename.target_logical = 1;
-  rename.attr = "id";  // the key
-  rename.new_value = "nope";
-  DiagnosticReport report = VerifyUpdateOpStatic(s, rename);
-  EXPECT_TRUE(report.has_errors());
-  EXPECT_TRUE(IsFatalQueryCode("QRY012"));
-  CheckFixture(report, "QRY012");
-
-  storage::UpdateOp insert;
-  insert.kind = storage::UpdateOp::Kind::kInsertSubtree;
-  insert.target_type = country_;
-  insert.target_logical = 1;
-  insert.subtree.type = in_;
-  insert.subtree.logical = 900;
-  storage::SubtreeSpec child;
-  child.type = address_;
-  child.logical = 901;
-  child.attrs.push_back({"city", "Osaka", false});  // key "id" missing
-  insert.subtree.children.push_back(child);
-  DiagnosticReport missing_key = VerifyUpdateOpStatic(s, insert);
-  EXPECT_TRUE(missing_key.has_errors());
-  EXPECT_TRUE(missing_key.HasCode("QRY012"));
-}
-
-// ---------------------------------------------------------------------------
-// Precheck equivalence: the static precheck accepts exactly what the
-// storage-layer verifier accepts (never stricter, so the WAL gate cannot
-// refuse an op the applier would take).
-
-TEST_F(QueryAnalyzeTest, StaticPrecheckAgreesWithStorageVerifier) {
-  design::Designer designer(*graph_);
-  std::vector<storage::UpdateOp> ops;
-  {
-    storage::UpdateOp ok;
-    ok.kind = storage::UpdateOp::Kind::kRenameValue;
-    ok.target_type = country_;
-    ok.target_logical = 1;
-    ok.attr = "name";
-    ok.new_value = "Nippon";
-    ops.push_back(ok);
-    storage::UpdateOp bad = ok;
-    bad.attr = "id";
-    ops.push_back(bad);
-    storage::UpdateOp del;
-    del.kind = storage::UpdateOp::Kind::kDeleteSubtree;
-    del.target_type = address_;
-    del.target_logical = 2;
-    ops.push_back(del);
-    storage::UpdateOp unknown = del;
-    unknown.target_type = 999;
-    ops.push_back(unknown);
-  }
-  for (Strategy s : design::AllStrategies()) {
-    mct::MctSchema schema = designer.Design(s);
-    for (size_t i = 0; i < ops.size(); ++i) {
-      bool static_ok = !VerifyUpdateOpStatic(schema, ops[i]).has_errors();
-      bool storage_ok = storage::VerifyUpdateOp(schema, ops[i]).ok();
-      EXPECT_EQ(static_ok, storage_ok)
-          << "op " << i << " on " << schema.name();
-    }
-  }
 }
 
 }  // namespace

@@ -1178,6 +1178,61 @@ TEST_F(QueryServiceTest, PlanCacheUnderConcurrentReadersAndWriter) {
       << "no checkpoint ran, so nothing may invalidate";
 }
 
+// Concurrent writers on one store: each receipt counts its own op's WAL
+// work (the record it appended, the fsync it led), never another
+// writer's, so the receipts, mctsvc_wal_appends_total and the fsync
+// histogram each add up to the store's own counters.
+TEST_F(QueryServiceTest, ConcurrentWritersCountOnlyTheirOwnWalWork) {
+  std::unique_ptr<mctdb::wal::DurableStore> durable = EnDurable();
+  ASSERT_NE(durable, nullptr);
+  ServiceOptions options;
+  options.num_threads = 4;
+  QueryService service(options);
+  ASSERT_TRUE(service.AddDurableStore("tpcw", durable.get()).ok());
+  // A slow sync lets the other writers' records queue behind it, so many
+  // commits ride a batch another writer leads.
+  mctdb::failpoint::FailpointGuard slow_sync("wal.fsync", "delay(3)");
+  constexpr uint32_t kWriters = 4;
+  constexpr uint32_t kRenames = 25;
+  std::atomic<uint64_t> appends{0};
+  std::atomic<uint64_t> fsyncs{0};
+  std::vector<std::thread> writers;
+  for (uint32_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      auto session = service.OpenSession("tpcw");
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (uint32_t i = 0; i < kRenames; ++i) {
+        const mctdb::storage::UpdateOp op = RenameCountry(
+            w, "Writer" + std::to_string(w) + "_" + std::to_string(i));
+        auto f = (*session)->SubmitUpdate(op);
+        ASSERT_TRUE(f.ok()) << f.status().ToString();
+        auto r = f->get();
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        appends += r->wal_appends;
+        fsyncs += r->wal_fsyncs;
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  service.Drain();
+  auto exported = [&](const std::string& name, const std::string& suffix) {
+    for (const MetricFamily& f : service.Families()) {
+      if (f.name != name) continue;
+      for (const MetricSample& sample : f.samples) {
+        if (sample.suffix == suffix) return std::get<uint64_t>(sample.value);
+      }
+    }
+    ADD_FAILURE() << "no sample " << name << suffix;
+    return uint64_t{0};
+  };
+  ASSERT_EQ(durable->wal_appends(), kWriters * kRenames);
+  EXPECT_EQ(appends.load(), durable->wal_appends());
+  EXPECT_EQ(fsyncs.load(), durable->wal_fsyncs());
+  EXPECT_EQ(exported("mctsvc_wal_appends_total", ""), durable->wal_appends());
+  EXPECT_EQ(exported("mctsvc_wal_fsync_seconds", "_count"),
+            durable->wal_fsyncs());
+}
+
 // A kRebaseLive checkpoint the service did not drive (no maintenance
 // manager: the operator checkpoints by hand) must still reach its
 // readers: the next request reads the rebased store, so an update

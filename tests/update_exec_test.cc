@@ -200,10 +200,9 @@ TEST(UpdateExecTest, UnsupportedPlacementReportsPln012) {
 }
 
 TEST(UpdateExecTest, SchemaInvalidOpRefusedBeforeWalAppend) {
-  // The QRY012 static precheck sits in DurableStore::Apply ahead of the
-  // WAL append: a schema-invalid op must come back InvalidArgument with
-  // wal_appends unchanged — the log never holds a record recovery would
-  // have to re-refuse.
+  // DurableStore::Apply verifies ahead of the WAL append: a schema-invalid
+  // op must come back InvalidArgument (PLN011) with wal_appends unchanged,
+  // so the log only holds records the verifier accepted.
   Fixture f;
   mct::MctSchema schema = f.designer.Design(Strategy::kEn);
   auto durable = f.MakeDurable(schema);
@@ -232,14 +231,40 @@ TEST(UpdateExecTest, SchemaInvalidOpRefusedBeforeWalAppend) {
     op.target_type = 9999;  // unknown target type
     bad.push_back(op);
   }
+  {
+    // U1 whose child misses its key attribute.
+    std::vector<mct::MctSchema> schemas{schema};
+    workload::UpdateGenOptions gen;
+    gen.num_ops = 8;
+    for (storage::UpdateOp op :
+         workload::GenerateUpdateOps(schemas, f.logical, gen)) {
+      if (op.kind != storage::UpdateOp::Kind::kInsertSubtree) continue;
+      ASSERT_FALSE(op.subtree.children.empty());
+      storage::SubtreeSpec& child = op.subtree.children[0];
+      std::string key;
+      for (const er::Attribute& a : f.w.diagram.node(child.type).attributes) {
+        if (a.is_key) key = a.name;
+      }
+      ASSERT_FALSE(key.empty());
+      std::erase_if(child.attrs, [&](const storage::SubtreeSpec::Attr& a) {
+        return a.name == key;
+      });
+      bad.push_back(op);
+      break;
+    }
+    ASSERT_EQ(bad.size(), 4u) << "no insert in the generated stream";
+  }
   for (const storage::UpdateOp& op : bad) {
     auto refused = durable->Apply(op);
     ASSERT_FALSE(refused.ok()) << storage::DebugString(op);
     EXPECT_TRUE(refused.status().IsInvalidArgument())
         << refused.status().ToString();
-    EXPECT_NE(refused.status().message().find("QRY012"), std::string::npos)
+    EXPECT_NE(refused.status().message().find("PLN011"), std::string::npos)
         << refused.status().ToString();
   }
+  EXPECT_NE(durable->Apply(bad.back()).status().message().find(
+                "misses key attribute"),
+            std::string::npos);
   EXPECT_EQ(durable->wal_appends(), 0u) << "refused ops dirtied the log";
 
   // The gate lets a valid op through: rename a non-key attribute of an

@@ -13,6 +13,7 @@
 #include "query/executor.h"
 #include "query/planner.h"
 #include "query/update_exec.h"
+#include "storage/persist.h"
 #include "wal/durable_store.h"
 #include "workload/update_gen.h"
 #include "workload/workload.h"
@@ -251,6 +252,64 @@ TEST(WalRecoveryTest, CheckpointCrashWindowIsCoveredByIdempotentReplay) {
   EXPECT_EQ(r.replayed_records + r.skipped_records, world.ops.size());
   auto got = world.QueryAt((*d)->store(), (*d)->snapshot());
   EXPECT_EQ(got, world.oracle[world.ops.size()]);
+}
+
+// The replay gate: checksum-valid records the live path refuses (written
+// here straight through a LogWriter) are skipped on reopen, never handed
+// to the applier.
+TEST(WalRecoveryTest, ReplaySkipsRecordsTheVerifierRefuses) {
+  RecoveryWorld& world = World();
+  std::string path = TempPath("replay_gate.mctdb");
+  const er::NodeId country = *world.w.diagram.FindNode("country");
+  std::string key;
+  for (const er::Attribute& a : world.w.diagram.node(country).attributes) {
+    if (a.is_key) key = a.name;
+  }
+  ASSERT_FALSE(key.empty());
+  std::string key_before;
+  {
+    auto d = DurableStore::Create(
+        instance::Materialize(world.logical, world.schema, {}), path);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    std::vector<storage::ElemId> elems =
+        (*d)->store()->ElementsFor(country, 0);
+    ASSERT_FALSE(elems.empty());
+    const std::string* value = (*d)->store()->AttrValue(elems[0], key);
+    ASSERT_NE(value, nullptr);
+    key_before = *value;
+  }
+  {
+    storage::UpdateOp rename;  // U3 on country's key attribute
+    rename.kind = storage::UpdateOp::Kind::kRenameValue;
+    rename.target_type = country;
+    rename.target_logical = 0;
+    rename.attr = key;
+    rename.new_value = "clobbered";
+    storage::UpdateOp del;  // U2 on a type the diagram does not have
+    del.kind = storage::UpdateOp::Kind::kDeleteSubtree;
+    del.target_type = 9999;
+    auto log = LogWriter::Open(DurableStore::WalPath(path),
+                               storage::SchemaFingerprint(world.schema),
+                               kNoLsn, kNoLsn);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    for (const storage::UpdateOp& op : {rename, del}) {
+      std::string payload;
+      storage::EncodeUpdateOp(op, &payload);
+      ASSERT_TRUE((*log)->Append(RecordType::kUpdateOp, payload).ok());
+    }
+    ASSERT_TRUE((*log)->Commit(2).ok());
+  }
+  auto d = DurableStore::Open(world.schema, path);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  const RecoveryStats& r = (*d)->recovery();
+  EXPECT_EQ(r.scanned_records, 2u);
+  EXPECT_EQ(r.replayed_records, 0u);
+  EXPECT_EQ(r.skipped_records, 2u);
+  for (storage::ElemId e : (*d)->store()->ElementsFor(country, 0)) {
+    const std::string* value = (*d)->store()->AttrValue(e, key);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, key_before);
+  }
 }
 
 }  // namespace
